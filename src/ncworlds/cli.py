@@ -17,7 +17,7 @@ from . import iterant as it
 from . import skewdiff as sd
 from . import suites
 from .parser import ParseError, evaluate, parse, print_expr, world
-from .quotient import ReductionError
+from .quotient import NAMED_SYSTEMS, ReductionError
 from .scalar import Scalar
 from .suites import random_vec3
 
@@ -32,8 +32,7 @@ def build_argparser() -> argparse.ArgumentParser:
 
     reduce_p = sub.add_parser("reduce", help="parse an expression and print its normal form")
     reduce_p.add_argument("expr")
-    reduce_p.add_argument("--world", default="free",
-                          choices=["free", "flat", "flat-fn", "abc", "abc-relations"])
+    reduce_p.add_argument("--world", default="free", choices=list(NAMED_SYSTEMS))
     reduce_p.add_argument("--max-steps", type=int, default=None)
     reduce_p.add_argument("--json", action="store_true")
 
@@ -114,7 +113,13 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+
+
 def _cmd_verify(args) -> int:
+    _require_trials(args.trials)
     options = suites.Options(seed=args.seed, trials=args.trials, length=args.length,
                              spread=args.spread, levels=args.levels,
                              max_steps=args.max_steps)
@@ -122,16 +127,8 @@ def _cmd_verify(args) -> int:
     return _emit_reports(reports, args.json)
 
 
-def _residual_text(value) -> str:
-    if isinstance(value, sd.Vec3):
-        for comp in (value.c1, value.c2, value.c3):
-            if not comp.is_zero():
-                return comp.to_text()
-        return "0"
-    return value.to_text()
-
-
 def _cmd_em_sim(args) -> int:
+    _require_trials(args.trials)
     rng = random.Random(args.seed)
     ids = ("lorentz-force", "divergence-b", "faraday-with-curvature", "ampere-with-waves")
     holds = {name: True for name in ids}
@@ -147,10 +144,11 @@ def _cmd_em_sim(args) -> int:
             break
         for name, value in zip(ids, (res.lorentz_force, res.div_b,
                                      res.faraday, res.ampere)):
-            if not value.is_zero():
+            zero, text = suites.first_residual([value])
+            if not zero:
                 holds[name] = False
                 if worst == "0":
-                    worst = _residual_text(value)
+                    worst = text
     obj = {
         "seed": args.seed,
         "trials": args.trials,
@@ -169,7 +167,7 @@ def _cmd_em_sim(args) -> int:
 
 
 def _cmd_tower(args) -> int:
-    tower = cn.derivative_tower(max(args.levels, 1))
+    tower = cn.derivative_tower(args.levels)
     series_name = args.coeff_series
     series: list[str] = []
     if series_name == "h-prime":

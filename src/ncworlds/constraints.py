@@ -13,13 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 from .ncpoly import G, NcPoly, commutator
 from .quotient import ABC, Q, P, RewriteSystem, flat_with_functions, reduce_poly
 from .scalar import Scalar
+from .sparse import SparseSum, add_into
 
 
 def symmetrize(factors: Sequence[NcPoly]) -> NcPoly:
@@ -27,13 +30,8 @@ def symmetrize(factors: Sequence[NcPoly]) -> NcPoly:
     if not factors:
         raise ValueError("symmetrize needs at least one factor")
     n = len(factors)
-    out = NcPoly.zero()
-    for order in permutations(range(n)):
-        prod = NcPoly.one()
-        for k in order:
-            prod = prod * factors[k]
-        out = out + prod
-    return out / Scalar.rational(factorial(n))
+    products = (reduce(mul, (factors[k] for k in order)) for order in permutations(range(n)))
+    return NcPoly.total(products) / Scalar.rational(factorial(n))
 
 
 # -- second constraint -------------------------------------------------------
@@ -151,27 +149,27 @@ def curvature_form_check(n: int) -> tuple[dict[tuple[int, int], NcPoly], NcPoly]
     plus the summed weave sum_ij [[H_i, H_j], T_ij], which cancels pairwise
     for symmetric T."""
     residuals: dict[tuple[int, int], NcPoly] = {}
-    summed = NcPoly.zero()
+    weaves = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             hi, hj, t = NcPoly.gen("H", i), NcPoly.gen("H", j), theta_sym(i, j)
             lhs = commutator(commutator(t, hj), hi)
             rhs = commutator(commutator(t, hi), hj) + commutator(commutator(hi, hj), t)
             residuals[(i, j)] = lhs - rhs
-            summed = summed + commutator(commutator(hi, hj), t)
-    return residuals, summed
+            weaves.append(commutator(commutator(hi, hj), t))
+    return residuals, NcPoly.total(weaves)
 
 
 # -- first constraint with the quadratic Hamiltonian --------------------------
 
 def quadratic_hamiltonian(n: int) -> NcPoly:
     """(1/4) sum_ij (g_ij P_i P_j + P_i P_j g_ij) with symmetric g."""
-    total = NcPoly.zero()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            g = NcPoly.from_word((G("g", min(i, j), max(i, j)),))
-            total = total + g * P(i) * P(j) + P(i) * P(j) * g
-    return total / Scalar.rational(4)
+    def term(i: int, j: int) -> NcPoly:
+        g = NcPoly.from_word((G("g", min(i, j), max(i, j)),))
+        return g * P(i) * P(j) + P(i) * P(j) * g
+
+    pairs = range(1, n + 1)
+    return NcPoly.total(term(i, j) for i in pairs for j in pairs) / Scalar.rational(4)
 
 
 def first_constraint_residual(n: int, max_steps: int | None = None) -> NcPoly:
@@ -181,11 +179,10 @@ def first_constraint_residual(n: int, max_steps: int | None = None) -> NcPoly:
     theta = NcPoly.gen("theta")
     h = quadratic_hamiltonian(n)
     lhs = reduce_poly(commutator(theta, h), system, max_steps)
-    rhs = NcPoly.zero()
-    for i in range(1, n + 1):
-        hdot_i = reduce_poly(commutator(Q(i), h), system, max_steps)
-        theta_i = reduce_poly(commutator(theta, P(i)), system, max_steps)
-        rhs = rhs + symmetrize([hdot_i, theta_i])
+    rhs = NcPoly.total(
+        symmetrize([reduce_poly(commutator(Q(i), h), system, max_steps),
+                    reduce_poly(commutator(theta, P(i)), system, max_steps)])
+        for i in range(1, n + 1))
     return reduce_poly(lhs - rhs, system, max_steps)
 
 
@@ -202,58 +199,32 @@ def hsym(k: int = 0) -> CSym:
     return ("h", k)
 
 
-class CPoly:
-    """Commutative polynomial in theta and the derivatives of h."""
+class CPoly(SparseSum):
+    """Commutative polynomial in theta and the derivatives of h; a monomial
+    is the sorted tuple of its symbols."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[CMonomial, Fraction] | None = None):
-        canon: dict[CMonomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    canon[tuple(sorted(m))] = canon.get(tuple(sorted(m)), Fraction(0)) + c
-        self._terms = {m: c for m, c in canon.items() if c}
+    __slots__ = ()
 
     @staticmethod
     def monomial(syms: Iterable[CSym], coeff: Fraction | int = 1) -> "CPoly":
         return CPoly({tuple(sorted(syms)): Fraction(coeff)})
-
-    def __add__(self, other: "CPoly") -> "CPoly":
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return CPoly(terms)
-
-    def __sub__(self, other: "CPoly") -> "CPoly":
-        return self + CPoly({m: -c for m, c in other._terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def terms(self) -> Iterable[tuple[CMonomial, Fraction]]:
-        return sorted(self._terms.items())
 
     def coeff(self, syms: Iterable[CSym]) -> Fraction:
         return self._terms.get(tuple(sorted(syms)), Fraction(0))
 
     def derive(self) -> "CPoly":
         """Leibniz derivation with d theta = h theta and d h^(k) = h^(k+1)."""
-        out = CPoly()
+        terms: dict[CMonomial, Fraction] = {}
         for m, c in self._terms.items():
             for pos, sym in enumerate(m):
                 rest = m[:pos] + m[pos + 1:]
                 if sym == THETA:
-                    out = out + CPoly.monomial(rest + (hsym(0), THETA), c)
+                    grown = rest + (hsym(0), THETA)
                 else:
                     name, k = sym
-                    out = out + CPoly.monomial(rest + ((name, k + 1),), c)
-        return out
+                    grown = rest + ((name, k + 1),)
+                add_into(terms, tuple(sorted(grown)), c)
+        return self._like(terms)
 
     def coefficient_sum(self) -> Fraction:
         return sum(self._terms.values(), Fraction(0))
@@ -348,10 +319,8 @@ def symmetrized_level(poly_or_level: "CPoly | TowerLevel", theta: NcPoly,
                       h_derivs: Sequence[NcPoly]) -> NcPoly:
     """Operator image of a classical level: symmetrize each monomial."""
     cpoly = poly_or_level.polynomial if isinstance(poly_or_level, TowerLevel) else poly_or_level
-    out = NcPoly.zero()
-    for m, c in cpoly.terms():
-        out = out + symmetrize(_factor_polys(m, theta, h_derivs)).scaled(Scalar.rational(c))
-    return out
+    return NcPoly.total(symmetrize(_factor_polys(m, theta, h_derivs)).scaled(Scalar.rational(c))
+                        for m, c in cpoly.terms())
 
 
 def symmetrized_level_dot(poly_or_level: "CPoly | TowerLevel", theta: NcPoly,
@@ -360,17 +329,18 @@ def symmetrized_level_dot(poly_or_level: "CPoly | TowerLevel", theta: NcPoly,
     differentiated theta by the nested first-constraint value {theta h}."""
     cpoly = poly_or_level.polynomial if isinstance(poly_or_level, TowerLevel) else poly_or_level
     theta_dot = symmetrize([theta, h_derivs[0]])
-    out = NcPoly.zero()
-    for m, c in cpoly.terms():
-        for pos, sym in enumerate(m):
-            rest = m[:pos] + m[pos + 1:]
-            factors = _factor_polys(rest, theta, h_derivs)
-            if sym == THETA:
-                factors.append(theta_dot)
-            else:
-                _, k = sym
-                if k + 1 >= len(h_derivs):
-                    raise ValueError(f"no operator supplied for derivative order {k + 1}")
-                factors.append(h_derivs[k + 1])
-            out = out + symmetrize(factors).scaled(Scalar.rational(c))
-    return out
+
+    def dotted(m: CMonomial, pos: int) -> NcPoly:
+        """The symmetrized monomial with its factor at ``pos`` differentiated."""
+        factors = _factor_polys(m[:pos] + m[pos + 1:], theta, h_derivs)
+        if m[pos] == THETA:
+            factors.append(theta_dot)
+        else:
+            _, k = m[pos]
+            if k + 1 >= len(h_derivs):
+                raise ValueError(f"no operator supplied for derivative order {k + 1}")
+            factors.append(h_derivs[k + 1])
+        return symmetrize(factors)
+
+    return NcPoly.total(dotted(m, pos).scaled(Scalar.rational(c))
+                        for m, c in cpoly.terms() for pos in range(len(m)))

@@ -15,13 +15,29 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .scalar import RatLike, Scalar
+from .sparse import SparseSum, add_into
 
 # Permutations in one-line notation, zero-based: perm[i] is where row i looks.
 Perm = tuple[int, ...]
-Diagonal = tuple[Scalar, ...]
+
+
+class Diagonal(tuple):
+    """Diagonal vector of scalars, the coefficient of one permutation: ``+``
+    and unary ``-`` act entrywise and an all-zero vector is false."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "Diagonal") -> "Diagonal":
+        return Diagonal(a + b for a, b in zip(self, other))
+
+    def __neg__(self) -> "Diagonal":
+        return Diagonal(-x for x in self)
+
+    def __bool__(self) -> bool:
+        return any(self)
 
 
 def identity_perm(n: int) -> Perm:
@@ -33,35 +49,36 @@ def compose(p1: Perm, p2: Perm) -> Perm:
     return tuple(p2[p1[i]] for i in range(len(p1)))
 
 
-def permute(v: Diagonal, p: Perm) -> Diagonal:
+def permute(v: Sequence[Scalar], p: Perm) -> tuple[Scalar, ...]:
     """The action written v^p: component i becomes v[p[i]]."""
     return tuple(v[p[i]] for i in range(len(p)))
 
 
-def _coerce_vector(values: Sequence[Scalar | RatLike]) -> Diagonal:
+def _coerce_vector(values: Sequence[Scalar | RatLike]) -> tuple[Scalar, ...]:
     return tuple(Scalar.coerce(v) for v in values)
 
 
-class IterantElement:
+class IterantElement(SparseSum):
     """Finite sum of (diagonal, permutation) terms of one fixed order."""
 
-    __slots__ = ("order", "_terms")
+    __slots__ = ("order",)
 
     def __init__(self, order: int, terms: Mapping[Perm, Sequence[Scalar]] | None = None):
         if order < 1:
             raise ValueError("iterant order must be positive")
         self.order = order
-        canon: dict[Perm, Diagonal] = {}
-        if terms:
-            for p, v in terms.items():
-                if len(v) != order:
-                    raise ValueError("length mismatch with iterant order")
-                if sorted(p) != list(range(order)):
-                    raise ValueError(f"not a permutation of 0..{order - 1}: {p}")
-                vec = tuple(v)
-                if any(not x.is_zero() for x in vec):
-                    canon[p] = vec
-        self._terms = canon
+        terms = terms or {}
+        for p, v in terms.items():
+            if len(v) != order:
+                raise ValueError("length mismatch with iterant order")
+            if sorted(p) != list(range(order)):
+                raise ValueError(f"not a permutation of 0..{order - 1}: {p}")
+        super().__init__({p: Diagonal(v) for p, v in terms.items()})
+
+    def _like(self, terms: dict) -> "IterantElement":
+        out = super()._like(terms)
+        out.order = self.order
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -92,25 +109,9 @@ class IterantElement:
 
     # -- algebra -----------------------------------------------------------
 
-    def _require_same_order(self, other: "IterantElement") -> None:
+    def _check_compatible(self, other: "IterantElement") -> None:
         if self.order != other.order:
             raise ValueError(f"iterant order mismatch: {self.order} vs {other.order}")
-
-    def __add__(self, other: "IterantElement") -> "IterantElement":
-        self._require_same_order(other)
-        terms: dict[Perm, Diagonal] = dict(self._terms)
-        for p, v in other._terms.items():
-            if p in terms:
-                terms[p] = tuple(a + b for a, b in zip(terms[p], v))
-            else:
-                terms[p] = v
-        return IterantElement(self.order, terms)
-
-    def __neg__(self) -> "IterantElement":
-        return IterantElement(self.order, {p: tuple(-x for x in v) for p, v in self._terms.items()})
-
-    def __sub__(self, other: "IterantElement") -> "IterantElement":
-        return self + (-other)
 
     def __mul__(self, other: "IterantElement | Scalar | RatLike") -> "IterantElement":
         if not isinstance(other, IterantElement):
@@ -118,18 +119,14 @@ class IterantElement:
             return IterantElement(
                 self.order, {p: tuple(x * s for x in v) for p, v in self._terms.items()}
             )
-        self._require_same_order(other)
+        self._check_compatible(other)
         terms: dict[Perm, Diagonal] = {}
         for p1, v1 in self._terms.items():
             for p2, v2 in other._terms.items():
                 # (v1 [p1])(v2 [p2]) = (v1 * v2^p1) [p1 p2]
-                p = compose(p1, p2)
-                prod = tuple(a * b for a, b in zip(v1, permute(v2, p1)))
-                if p in terms:
-                    terms[p] = tuple(a + b for a, b in zip(terms[p], prod))
-                else:
-                    terms[p] = prod
-        return IterantElement(self.order, terms)
+                prod = Diagonal(a * b for a, b in zip(v1, permute(v2, p1)))
+                add_into(terms, compose(p1, p2), prod)
+        return self._like(terms)
 
     def __rmul__(self, other: "Scalar | RatLike") -> "IterantElement":
         return self * other
@@ -141,15 +138,11 @@ class IterantElement:
         return out
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IterantElement):
-            return NotImplemented
-        return self.order == other.order and self._terms == other._terms
+        if isinstance(other, IterantElement) and self.order != other.order:
+            return False
+        return super().__eq__(other)
 
-    def __hash__(self) -> int:
-        return hash((self.order, frozenset(self._terms.items())))
-
-    def terms(self) -> Iterable[tuple[Perm, Diagonal]]:
-        return sorted(self._terms.items())
+    __hash__ = SparseSum.__hash__
 
     def bar(self) -> "IterantElement":
         """Order-2 component swap on every diagonal (the overbar)."""
@@ -264,7 +257,7 @@ def matrix_decompose(m: Matrix) -> IterantElement:
     if n < 1:
         raise ValueError("empty matrix")
     factor = Scalar.rational(1, math.factorial(n - 1))
-    terms: dict[Perm, Diagonal] = {}
+    terms: dict[Perm, tuple[Scalar, ...]] = {}
     for p in permutations(range(n)):
         vec = tuple(m.rows[i][p[i]] * factor for i in range(n))
         terms[p] = vec

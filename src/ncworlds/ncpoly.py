@@ -9,9 +9,10 @@ commutator map ``f -> [f, n]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from .scalar import RatLike, Scalar
+from .sparse import SparseSum, add_into
 
 
 @dataclass(frozen=True, order=True)
@@ -53,18 +54,10 @@ def _word_key(w: Word):
     return (len(w), w)
 
 
-class NcPoly:
+class NcPoly(SparseSum):
     """Canonical element of the free algebra: finite map word -> scalar."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Word, Scalar] | None = None):
-        canon: dict[Word, Scalar] = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    canon[w] = c
-        self._terms = canon
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -91,30 +84,14 @@ class NcPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "NcPoly") -> "NcPoly":
-        terms = dict(self._terms)
-        for w, c in other._terms.items():
-            prev = terms.get(w)
-            terms[w] = c if prev is None else prev + c
-        return NcPoly(terms)
-
-    def __neg__(self) -> "NcPoly":
-        return NcPoly({w: -c for w, c in self._terms.items()})
-
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
-        return self + (-other)
-
     def __mul__(self, other: "NcPoly | Scalar | RatLike") -> "NcPoly":
         if not isinstance(other, NcPoly):
             return self.scaled(other)
         terms: dict[Word, Scalar] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                prev = terms.get(w)
-                terms[w] = c if prev is None else prev + c
-        return NcPoly(terms)
+                add_into(terms, w1 + w2, c1 * c2)
+        return self._like(terms)
 
     def __rmul__(self, other: "Scalar | RatLike") -> "NcPoly":
         return self.scaled(other)
@@ -133,20 +110,6 @@ class NcPoly:
         return out
 
     # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset((w, c) for w, c in self._terms.items()))
 
     def terms(self) -> Iterator[tuple[Word, Scalar]]:
         """Terms in graded lexicographic word order."""

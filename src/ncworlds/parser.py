@@ -143,11 +143,15 @@ def _tokens(src: str) -> Iterator[Token]:
                 if marker == "^" and k < n and src[k] == "-":
                     index_signed = True
                     k += 1
+                digits_start = k
                 while k < n and src[k].isdigit():
                     k += 1
-                index_digits = src[j + (1 if index_signed else 0):k]
-                if index_signed:
-                    index_digits = "-" + index_digits
+                # "theta_,1" carries derivative indices only
+                deriv_only = marker == "_" and src[k:k + 1] == "," and src[k + 1:k + 2].isdigit()
+                if k == digits_start and not deriv_only:
+                    raise ParseError(f"missing digits after {marker!r}", line,
+                                     start_col + k - i, ("digits",))
+                index_digits = src[j:k]
                 j = k
             if j + 1 < n and src[j] == "," and src[j + 1].isdigit():
                 j += 1
@@ -243,7 +247,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return Num(Fraction(tok.text))
+            try:
+                return Num(Fraction(tok.text))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {tok.text!r}", tok.line, tok.col) from None
         if tok.kind == "NAME":
             self.advance()
             return self._name_node(tok)
@@ -359,11 +366,8 @@ def _eval(e) -> NcPoly:
             out = out * _eval(f)
         return out
     if isinstance(e, Sum):
-        out = NcPoly.zero()
-        for sign, part in e.parts:
-            term = _eval(part)
-            out = out + (term if sign > 0 else -term)
-        return out
+        return NcPoly.total(_eval(part) if sign > 0 else -_eval(part)
+                            for sign, part in e.parts)
     if isinstance(e, Comm):
         return commutator(_eval(e.a), _eval(e.b))
     if isinstance(e, Symm):

@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .ncpoly import G, Generator, NcPoly, Word, commutator, word_text
 from .scalar import Scalar
+from .sparse import add_into
 
 DEFAULT_STEP_LIMIT = 10**6
 STEP_LIMIT_ENV = "NCWORLDS_MAX_STEPS"
@@ -67,13 +68,13 @@ def reduce_poly(e: NcPoly, system: RewriteSystem, max_steps: int | None = None) 
     """Normal form of ``e``: the fixpoint of leftmost-first rule application."""
     limit = step_limit(max_steps)
     steps = 0
-    out = NcPoly.zero()
+    out: dict[Word, Scalar] = {}
     stack: list[tuple[Word, Scalar]] = [(w, c) for w, c in e.terms()]
     while stack:
         w, c = stack.pop()
         match = _first_match(w, system)
         if match is None:
-            out = out + NcPoly.from_word(w, c)
+            add_into(out, w, c)
             continue
         steps += 1
         if steps > limit:
@@ -82,7 +83,7 @@ def reduce_poly(e: NcPoly, system: RewriteSystem, max_steps: int | None = None) 
         prefix, suffix = w[:i], w[i + span:]
         for w2, c2 in repl.terms():
             stack.append((prefix + w2 + suffix, c * c2))
-    return out
+    return NcPoly(out)
 
 
 def _first_match(w: Word, system: RewriteSystem) -> tuple[int, int, NcPoly] | None:
@@ -213,24 +214,24 @@ def formal_partial_q(f: NcPoly, i: int, system: RewriteSystem = FLAT) -> NcPoly:
     Independent of the commutator route: counts Q_i occurrences and applies
     the product rule to function-symbol factors.
     """
-    out = NcPoly.zero()
+    out: dict[Word, Scalar] = {}
     for w, c in f.terms():
         for pos, g in enumerate(w):
             cls = system.classify(g)
             if cls == "fn":
-                out = out + NcPoly.from_word(w[:pos] + (g.with_deriv(i),) + w[pos + 1:], c)
+                add_into(out, w[:pos] + (g.with_deriv(i),) + w[pos + 1:], c)
             elif cls == "Q" and g.indices == (i,):
-                out = out + NcPoly.from_word(w[:pos] + w[pos + 1:], c)
-    return out
+                add_into(out, w[:pos] + w[pos + 1:], c)
+    return NcPoly(out)
 
 
 def formal_partial_p(f: NcPoly, i: int, system: RewriteSystem = FLAT) -> NcPoly:
-    out = NcPoly.zero()
+    out: dict[Word, Scalar] = {}
     for w, c in f.terms():
         for pos, g in enumerate(w):
             if system.classify(g) == "P" and g.indices == (i,):
-                out = out + NcPoly.from_word(w[:pos] + w[pos + 1:], c)
-    return out
+                add_into(out, w[:pos] + w[pos + 1:], c)
+    return NcPoly(out)
 
 
 def hamilton_check(h: NcPoly, dims: Sequence[int], system: RewriteSystem = FLAT,

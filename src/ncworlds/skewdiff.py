@@ -11,9 +11,10 @@ the raw difference operator does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence as Seq
+from typing import Callable, Iterator, Mapping, Sequence as Seq
 
 from .scalar import RatLike, Scalar
+from .sparse import SparseSum, add_into
 
 
 class WindowError(RuntimeError):
@@ -114,15 +115,18 @@ def constant(value: Scalar | RatLike, start: int, length: int) -> Sequence:
     return Sequence([Scalar.coerce(value)] * length, start)
 
 
-class SkewElement:
-    """Finite sum of J^k . sequence terms, k >= 0."""
+class SkewElement(SparseSum):
+    """Finite sum of J^k . sequence terms, k >= 0.
 
-    __slots__ = ("_terms",)
+    A term whose sequence is zero is still stored, because its window bounds
+    every later sum; a ``Sequence`` is never empty, so never false."""
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[int, Sequence] | None = None):
         if terms and any(k < 0 for k in terms):
             raise ValueError("shift powers must be non-negative")
-        self._terms = dict(terms) if terms else {}
+        super().__init__(terms)
 
     @staticmethod
     def of(f: Sequence) -> "SkewElement":
@@ -136,31 +140,16 @@ class SkewElement:
     def zero() -> "SkewElement":
         return SkewElement()
 
-    def terms(self) -> Iterable[tuple[int, Sequence]]:
-        return sorted(self._terms.items())
-
-    def __add__(self, other: "SkewElement") -> "SkewElement":
-        terms = dict(self._terms)
-        for k, f in other._terms.items():
-            terms[k] = terms[k] + f if k in terms else f
-        return SkewElement(terms)
-
-    def __neg__(self) -> "SkewElement":
-        return SkewElement({k: -f for k, f in self._terms.items()})
-
-    def __sub__(self, other: "SkewElement") -> "SkewElement":
-        return self + (-other)
-
     def __mul__(self, other: "SkewElement | Scalar | RatLike") -> "SkewElement":
         if not isinstance(other, SkewElement):
             s = Scalar.coerce(other)
-            return SkewElement({k: f * s for k, f in self._terms.items()})
-        out = SkewElement.zero()
+            return self._like({k: f * s for k, f in self._terms.items()})
+        terms: dict[int, Sequence] = {}
         for a, f in self._terms.items():
             for b, g in other._terms.items():
                 # (J^a f)(J^b g) = J^(a+b) (f advanced b ticks) g
-                out = out + SkewElement({a + b: f.shift(b) * g})
-        return out
+                add_into(terms, a + b, f.shift(b) * g)
+        return self._like(terms)
 
     def __rmul__(self, other: "Scalar | RatLike") -> "SkewElement":
         return self * other
@@ -170,8 +159,7 @@ class SkewElement:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self) -> int:
-        return hash(frozenset((k, f) for k, f in self._terms.items()))
+    __hash__ = SparseSum.__hash__
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self._terms.values())
@@ -203,10 +191,7 @@ def nabla(f: "Sequence | SkewElement", dt: Scalar | RatLike = 1) -> SkewElement:
     """The adjusted derivative [f, J]/dt = J (f1 - f)/dt."""
     f = as_skew(f)
     inv_dt = Scalar.coerce(dt).inverse()
-    out = SkewElement.zero()
-    for k, seq in f.terms():
-        out = out + SkewElement({k + 1: delta(seq) * inv_dt})
-    return out
+    return SkewElement({k + 1: delta(seq) * inv_dt for k, seq in f.terms()})
 
 
 def position_velocity_commutator(x: Sequence, dt: Scalar | RatLike = 1) -> SkewElement:
@@ -257,42 +242,44 @@ class Vec3:
         a, b, c = seqs
         return Vec3(as_skew(a), as_skew(b), as_skew(c))
 
+    def __iter__(self) -> Iterator[SkewElement]:
+        return iter((self.c1, self.c2, self.c3))
+
     def comp(self, i: int) -> SkewElement:
-        return (self.c1, self.c2, self.c3)[i - 1]
+        return tuple(self)[i - 1]
 
     def map(self, fn: Callable[[SkewElement], SkewElement]) -> "Vec3":
-        return Vec3(fn(self.c1), fn(self.c2), fn(self.c3))
+        return Vec3(*map(fn, self))
 
     def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.c1 + other.c1, self.c2 + other.c2, self.c3 + other.c3)
+        return Vec3(*(a + b for a, b in zip(self, other)))
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.c1 - other.c1, self.c2 - other.c2, self.c3 - other.c3)
+        return Vec3(*(a - b for a, b in zip(self, other)))
 
     def __neg__(self) -> "Vec3":
         return self.map(lambda f: -f)
 
     def is_zero(self) -> bool:
-        return self.c1.is_zero() and self.c2.is_zero() and self.c3.is_zero()
+        return all(c.is_zero() for c in self)
+
+
+def _epsilon_sum(term: Callable[[int, int], SkewElement]) -> Vec3:
+    """The vector with components sum_ij eps(i,j,k) term(i, j), k = 1, 2, 3."""
+    return Vec3(*(SkewElement.total(term(i, j) * epsilon(i, j, k)
+                                    for i in (1, 2, 3) for j in (1, 2, 3)
+                                    if epsilon(i, j, k))
+                  for k in (1, 2, 3)))
 
 
 def cross(a: Vec3, b: Vec3) -> Vec3:
     """Non-commutative cross product, multiplication order as written:
     (a x b)_k = sum_ij eps(i,j,k) a_i b_j."""
-    comps = []
-    for k in (1, 2, 3):
-        acc = SkewElement.zero()
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                e = epsilon(i, j, k)
-                if e:
-                    acc = acc + a.comp(i) * b.comp(j) * e
-        comps.append(acc)
-    return Vec3(*comps)
+    return _epsilon_sum(lambda i, j: a.comp(i) * b.comp(j))
 
 
 def dot(a: Vec3, b: Vec3) -> SkewElement:
-    return a.c1 * b.c1 + a.c2 * b.c2 + a.c3 * b.c3
+    return SkewElement.total(x * y for x, y in zip(a, b))
 
 
 def partial_spatial(f: SkewElement, xdot: Vec3, i: int) -> SkewElement:
@@ -316,30 +303,16 @@ def partial_t_vec(f: Vec3, xdot: Vec3, dt: Scalar | RatLike = 1) -> Vec3:
 
 
 def divergence(f: Vec3, xdot: Vec3) -> SkewElement:
-    out = SkewElement.zero()
-    for i in (1, 2, 3):
-        out = out + partial_spatial(f.comp(i), xdot, i)
-    return out
+    return SkewElement.total(partial_spatial(f.comp(i), xdot, i) for i in (1, 2, 3))
 
 
 def curl(f: Vec3, xdot: Vec3) -> Vec3:
-    comps = []
-    for k in (1, 2, 3):
-        acc = SkewElement.zero()
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                e = epsilon(i, j, k)
-                if e:
-                    acc = acc + partial_spatial(f.comp(j), xdot, i) * e
-        comps.append(acc)
-    return Vec3(*comps)
+    return _epsilon_sum(lambda i, j: partial_spatial(f.comp(j), xdot, i))
 
 
 def laplacian(f: SkewElement, xdot: Vec3) -> SkewElement:
-    out = SkewElement.zero()
-    for i in (1, 2, 3):
-        out = out + partial_spatial(partial_spatial(f, xdot, i), xdot, i)
-    return out
+    return SkewElement.total(partial_spatial(partial_spatial(f, xdot, i), xdot, i)
+                             for i in (1, 2, 3))
 
 
 def em_fields(x: Vec3, dt: Scalar | RatLike = 1) -> tuple[Vec3, Vec3, Vec3]:

@@ -98,29 +98,13 @@ class _Suite:
 
 # -- residual helpers ---------------------------------------------------------
 
-def _poly(p: NcPoly) -> tuple[bool, str]:
-    return p.is_zero(), p.to_text()
-
-
-def _polys(ps: Iterable[NcPoly]) -> tuple[bool, str]:
-    for p in ps:
-        if not p.is_zero():
-            return False, p.to_text()
-    return True, "0"
-
-
-def _skews(elements: Iterable[sd.SkewElement]) -> tuple[bool, str]:
-    for e in elements:
-        if not e.is_zero():
-            return False, e.to_text()
-    return True, "0"
-
-
-def _vecs(vs: Iterable[sd.Vec3]) -> tuple[bool, str]:
-    for v in vs:
-        for c in (v.c1, v.c2, v.c3):
-            if not c.is_zero():
-                return False, c.to_text()
+def first_residual(values: Iterable) -> tuple[bool, str]:
+    """(True, "0") when every value is zero, else (False, text of the first
+    nonzero one); a Vec3 counts as its three components."""
+    for value in values:
+        for part in (value if isinstance(value, sd.Vec3) else (value,)):
+            if not part.is_zero():
+                return False, part.to_text()
     return True, "0"
 
 
@@ -132,14 +116,11 @@ def _flag(ok: bool, detail: str = "") -> tuple[bool, str]:
 
 def random_poly(rng: random.Random, pool: Seq, max_degree: int, max_terms: int,
                 coeff_spread: int = 3) -> NcPoly:
-    out = NcPoly.zero()
-    for _ in range(rng.randint(1, max_terms)):
-        length = rng.randint(0, max_degree)
-        w = tuple(rng.choice(pool) for _ in range(length))
-        c = rng.randint(-coeff_spread, coeff_spread)
-        if c:
-            out = out + NcPoly.from_word(w, c)
-    return out
+    def term() -> NcPoly:
+        w = tuple(rng.choice(pool) for _ in range(rng.randint(0, max_degree)))
+        return NcPoly.from_word(w, rng.randint(-coeff_spread, coeff_spread))
+
+    return NcPoly.total(term() for _ in range(rng.randint(1, max_terms)))
 
 
 def random_sequence(rng: random.Random, length: int, spread: int,
@@ -343,7 +324,7 @@ def suite_flat(opt: Options) -> SuiteReport:
         fnsys = qt.flat_with_functions(["theta"])
         out.append(qt.reduce_poly(qt.P(1) * theta, fnsys)
                    - (theta * qt.P(1) - NcPoly.gen("theta", derivs=(1,))))
-        return _polys(out)
+        return first_residual(out)
 
     s.check("normal-order", "P1 Q1 -> Q1 P1 - 1; Q2 Q1 -> Q1 Q2; P1 f -> f P1 - f,1",
             canonical)
@@ -355,7 +336,7 @@ def suite_flat(opt: Options) -> SuiteReport:
                 want = NcPoly.one() if i == j else NcPoly.zero()
                 out.append(qt.flat_partial_q(qt.Q(j), i) - want)
                 out.append(qt.flat_partial_p(qt.P(j), i) - want)
-        return _polys(out)
+        return first_residual(out)
 
     s.check("coordinate-derivatives", "dQ_j/dQ_i = delta_ij and dP_j/dP_i = delta_ij",
             deltas)
@@ -368,7 +349,7 @@ def suite_flat(opt: Options) -> SuiteReport:
                 nf = qt.reduce_poly(f, flat)
                 out.append(qt.flat_partial_q(f, i) - qt.formal_partial_q(nf, i, flat))
                 out.append(qt.flat_partial_p(f, i) - qt.formal_partial_p(nf, i, flat))
-        return _polys(out)
+        return first_residual(out)
 
     s.check("commutator-derivative-matches-formal",
             "[f, P_i] and [Q_i, f] reduce to the formal partial derivatives",
@@ -381,7 +362,7 @@ def suite_flat(opt: Options) -> SuiteReport:
             d12 = qt.flat_partial_q(qt.flat_partial_q(f, 1), 2)
             d21 = qt.flat_partial_q(qt.flat_partial_q(f, 2), 1)
             out.append(d12 - d21)
-        return _polys(out)
+        return first_residual(out)
 
     s.check("mixed-partials-commute", "d1 d2 f = d2 d1 f", mixed)
 
@@ -391,7 +372,7 @@ def suite_flat(opt: Options) -> SuiteReport:
             f = random_poly(rng, _FLAT_POOL, 4, 4)
             r = qt.reduce_poly(f, flat)
             out.append(qt.reduce_poly(r, flat) - r)
-        return _polys(out)
+        return first_residual(out)
 
     s.check("reduce-idempotent", "reduce(reduce(f)) = reduce(f)", idem)
 
@@ -403,7 +384,7 @@ def suite_flat(opt: Options) -> SuiteReport:
             lhs = qt.reduce_poly(a * b, flat)
             rhs = qt.reduce_poly(qt.reduce_poly(a, flat) * qt.reduce_poly(b, flat), flat)
             out.append(lhs - rhs)
-        return _polys(out)
+        return first_residual(out)
 
     s.check("reduce-respects-product", "reduce(ab) = reduce(reduce(a) reduce(b))",
             respects)
@@ -415,7 +396,7 @@ def suite_flat(opt: Options) -> SuiteReport:
             for r1, r2 in qt.hamilton_check(h, (1, 2)):
                 out.append(r1)
                 out.append(r2)
-        return _polys(out)
+        return first_residual(out)
 
     s.check("hamilton-equations",
             "[Q_i, h] = dh/dP_i and [P_i, h] = -dh/dQ_i for 20 random h",
@@ -427,12 +408,12 @@ def suite_flat(opt: Options) -> SuiteReport:
 def suite_schroedinger(opt: Options) -> SuiteReport:
     s = _Suite("schroedinger", opt.seed)
     s.check("heisenberg-form", "[psi, J/dt] = i hbar [psi, H] for J = 1 + i hbar H dt",
-            lambda: _poly(qt.schroedinger_residual()))
+            lambda: first_residual([qt.schroedinger_residual()]))
 
     def frozen_clock():
         psi = NcPoly.gen("psi")
         j0 = NcPoly.one()
-        return _poly(commutator(psi, j0 / Scalar.param("dt")))
+        return first_residual([commutator(psi, j0 / Scalar.param("dt"))])
 
     s.check("frozen-clock", "with hbar = 0 the advance J is 1 and nabla psi = 0",
             frozen_clock)
@@ -444,7 +425,7 @@ def suite_schroedinger(opt: Options) -> SuiteReport:
         j_op = NcPoly.one() + h_central.scaled(ihd)
         lhs = commutator(psi, j_op / Scalar.param("dt"))
         rhs = commutator(psi, h_central).scaled(Scalar.imag_unit() * Scalar.param("hbar"))
-        return _poly(lhs - rhs)
+        return first_residual([lhs - rhs])
 
     s.check("central-hamiltonian", "a scalar H commutes with psi on both sides",
             central)
@@ -460,7 +441,7 @@ def suite_gauge(opt: Options) -> SuiteReport:
     def flat_case():
         zero = [NcPoly.zero(), NcPoly.zero()]
         f = random_poly(rng, _FLAT_POOL, 3, 3)
-        return _poly(qt.gauge_curvature_residual(zero, f, 1, 2))
+        return first_residual([qt.gauge_curvature_residual(zero, f, 1, 2)])
 
     s.check("flat-connection", "A = 0 gives commuting covariant derivatives",
             flat_case)
@@ -472,7 +453,7 @@ def suite_gauge(opt: Options) -> SuiteReport:
         for _ in range(10):
             f = random_poly(rng, pool, 3, 3)
             out.append(qt.gauge_curvature_residual(a, f, 1, 2))
-        return _polys(out)
+        return first_residual(out)
 
     s.check("generic-connection",
             "[nabla_i, nabla_j]F = [F, R_ij] with R_ij = d_i A_j - d_j A_i + [A_i, A_j]",
@@ -486,7 +467,7 @@ def suite_gauge(opt: Options) -> SuiteReport:
         want = (NcPoly.gen("a", 2, derivs=(1,)) - NcPoly.gen("a", 1, derivs=(2,)))
         res = [r12 - want,
                qt.gauge_curvature_residual(a, NcPoly.gen("theta"), 1, 2, fnsys)]
-        return _polys(res)
+        return first_residual(res)
 
     s.check("function-valued-connection",
             "for A_i = a_i(Q) the bracket term drops: R_12 = a_2,1 - a_1,2",
@@ -525,7 +506,7 @@ def suite_epsilon(opt: Options) -> SuiteReport:
             ac, ab = sd.dot(a, c), sd.dot(a, b)
             rhs = b.map(lambda comp: ac * comp) - c.map(lambda comp: ab * comp)
             out.append(sd.cross(a, sd.cross(b, c)) - rhs)
-        return _vecs(out)
+        return first_residual(out)
 
     s.check("triple-product",
             "A x (B x C) = (A.C) B - (A.B) C for commuting components", triple)
@@ -542,7 +523,7 @@ def suite_em(opt: Options) -> SuiteReport:
             f = sd.as_skew(random_sequence(rng, opt.length, opt.spread))
             g = sd.as_skew(random_sequence(rng, opt.length, opt.spread))
             out.append(sd.nabla(f * g) - sd.nabla(f) * g - f * sd.nabla(g))
-        return _skews(out)
+        return first_residual(out)
 
     s.check("adjusted-leibniz", "nabla(fg) = nabla(f) g + f nabla(g) exactly",
             nabla_leibniz)
@@ -629,13 +610,13 @@ def suite_em(opt: Options) -> SuiteReport:
     s.check("discrete-trials", "exact field computations on random time series",
             run_trials)
     s.check("lorentz-force", "xddot = E + xdot x B",
-            lambda: _vecs(r.lorentz_force for r, _ in trial_data))
+            lambda: first_residual(r.lorentz_force for r, _ in trial_data))
     s.check("divergence-b", "div B = 0",
-            lambda: _skews(r.div_b for r, _ in trial_data))
+            lambda: first_residual(r.div_b for r, _ in trial_data))
     s.check("faraday-with-curvature", "dB/dt + curl E = B x B",
-            lambda: _vecs(r.faraday for r, _ in trial_data))
+            lambda: first_residual(r.faraday for r, _ in trial_data))
     s.check("ampere-with-waves", "dE/dt - curl B = (dt^2 - lap) xdot",
-            lambda: _vecs(r.ampere for r, _ in trial_data))
+            lambda: first_residual(r.ampere for r, _ in trial_data))
 
     def bxb():
         nonzero = sum(1 for _, nz in trial_data if nz)
@@ -667,7 +648,7 @@ def suite_em(opt: Options) -> SuiteReport:
             e_form = (sd.Vec3.of([sd.SkewElement({2: f}) for f in d2x])
                       - sd.Vec3.of([sd.SkewElement({3: f}) for f in triple]))
             out.append(e - e_form)
-        return _vecs(out)
+        return first_residual(out)
 
     s.check("discrete-field-forms",
             "B = J^2 dX' x dX and E = J^2 d2X - J^3 dX'' x (dX' x dX)", field_forms)
@@ -695,7 +676,7 @@ def suite_em(opt: Options) -> SuiteReport:
             g = sd.as_skew(random_sequence(rng, opt.length, opt.spread))
             out.append(sd.modified_leibniz_residual(f, g, x))
         out.append(sd.modified_leibniz_residual(xdot.c1, xdot.c2, x))
-        return _skews(out)
+        return first_residual(out)
 
     s.check("modified-leibniz",
             "dt(FG) = dt(F)G + F dt(G) + sum_i d_i(F) d_i(G)", modified_leibniz)
@@ -711,7 +692,7 @@ def suite_em(opt: Options) -> SuiteReport:
                 els.append(sd.SkewElement(terms))
             a, b, c = els
             out.append((a * b) * c - a * (b * c))
-        return _skews(out)
+        return first_residual(out)
 
     s.check("skew-associativity", "(ab)c = a(bc) on shared windows", associativity)
 
@@ -725,7 +706,7 @@ def suite_em(opt: Options) -> SuiteReport:
                 lhs = sd.partial_spatial(sd.as_skew(f), xdot, i)
                 rhs = sd.nabla(f) * sd.as_skew(sd.delta(seqs[i - 1]))
                 out.append(lhs - rhs)
-        return _skews(out)
+        return first_residual(out)
 
     s.check("scalar-gradient-collapse",
             "for commuting scalar F: [F, xdot_i] = Fdot delta_i", scalar_gradient)
@@ -746,7 +727,7 @@ def suite_constraints_1(opt: Options) -> SuiteReport:
     s = _Suite("constraints-1", opt.seed)
 
     def dim(n: int) -> CheckFn:
-        return lambda: _poly(cn.first_constraint_residual(n, opt.max_steps))
+        return lambda: first_residual([cn.first_constraint_residual(n, opt.max_steps)])
 
     s.check("quadratic-hamiltonian-1d",
             "[theta, H] = {Hdot_i theta_i} for H = (g P P + P P g)/4, n = 1", dim(1))
@@ -759,7 +740,7 @@ def suite_constraints_1(opt: Options) -> SuiteReport:
         h = cn.quadratic_hamiltonian(1)
         lhs = qt.reduce_poly(commutator(c, h), system)
         theta_1 = qt.reduce_poly(commutator(c, qt.P(1)), system)
-        return _polys([lhs, theta_1])
+        return first_residual([lhs, theta_1])
 
     s.check("constant-theta", "a constant observable has zero drift and gradient",
             constant_theta)
@@ -779,7 +760,7 @@ def suite_constraints_2(opt: Options) -> SuiteReport:
         for _ in range(10):
             out.append(cn.second_constraint_residual(
                 random_poly(rng, pool, 2, 3), random_poly(rng, pool, 2, 3)))
-        return _polys(out)
+        return first_residual(out)
 
     s.check("second-constraint-free",
             "{T H H} - {{T H} H} = (1/12)[[T, H], H] in the free algebra",
@@ -805,7 +786,7 @@ def suite_constraints_2(opt: Options) -> SuiteReport:
         )
         diff = cn.symmetrize([a, b, c]) - cn.symmetrize([a, cn.symmetrize([b, c])])
         bracket = commutator(a, commutator(b, c))
-        return _polys([qt.reduce_poly(diff, sys_full), qt.reduce_poly(bracket, sys_full)])
+        return first_residual([qt.reduce_poly(diff, sys_full), qt.reduce_poly(bracket, sys_full)])
 
     s.check("fully-commuting-degenerate",
             "with commuting A, B, C both sides collapse to zero", fully_commuting)
@@ -836,10 +817,10 @@ def suite_constraints_3(opt: Options) -> SuiteReport:
 
     s.check("double-bracket-expansion",
             "[H^2, [H, T]] = H^3 T - H^2 T H - H T H^2 + T H^3",
-            lambda: _poly(result.expansion_double))
+            lambda: first_residual([result.expansion_double]))
     s.check("dotted-bracket-expansion",
             "[H', [H, T]] - 2[H, [H', T]] expands to the six-word display",
-            lambda: _poly(result.expansion_dotted))
+            lambda: first_residual([result.expansion_dotted]))
 
     def ratio():
         ok = (result.ratio is not None and result.ratio != 0
@@ -947,7 +928,7 @@ def suite_bianchi(opt: Options) -> SuiteReport:
                                 commutator(nb, nc))
             out.append(commutator(r_ab, nc) + commutator(r_ca, nb)
                        + commutator(r_bc, na))
-        return _polys(out)
+        return first_residual(out)
 
     s.check("jacobi-cyclic",
             "R_ab:c + R_ca:b + R_bc:a = 0 with R_ab = [N_a, N_b], X:c = [X, N_c]",
@@ -964,7 +945,7 @@ def suite_bianchi(opt: Options) -> SuiteReport:
             out.append((a + b) * c - a * c - b * c)
             out.append(a * NcPoly.one() - a)
             out.append(a + (-a))
-        return _polys(out)
+        return first_residual(out)
 
     s.check("ring-axioms", "associativity, distributivity, identity, inverses",
             ring_axioms)
@@ -978,7 +959,7 @@ def suite_bianchi(opt: Options) -> SuiteReport:
             nab = derivation(n)
             out.append(nab(f * g) - nab(f) * g - f * nab(g))
             out.append(nab(NcPoly.one()))
-        return _polys(out)
+        return first_residual(out)
 
     s.check("commutator-derivations-leibniz",
             "every map f -> [f, n] is a Leibniz derivation killing 1", leibniz)

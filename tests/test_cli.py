@@ -37,6 +37,13 @@ def test_parse_error_exit_code(capsys):
     assert "syntax error" in err
 
 
+def test_zero_denominator_exit_code(capsys):
+    code, out, err = run(capsys, "reduce", "1/0")
+    assert code == 2
+    assert out == ""
+    assert "syntax error at 1:1" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "not-a-suite"])
@@ -139,3 +146,27 @@ def test_max_steps_flag(capsys):
     code, out, _ = run(capsys, "reduce", "P_1 Q_1 Q_2", "--world", "flat",
                        "--max-steps", "100")
     assert code == 0
+
+
+@pytest.mark.parametrize("levels", ["0", "-3"])
+def test_tower_rejects_nonpositive_levels(capsys, levels):
+    code, out, err = run(capsys, "tower", "--levels", levels)
+    assert code == 2
+    assert out == ""
+    assert "level" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_nonpositive_trials(capsys, trials):
+    code, out, err = run(capsys, "verify", "em", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_em_sim_rejects_nonpositive_trials(capsys, trials):
+    code, out, err = run(capsys, "em-sim", "--trials", trials, "--json")
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err

@@ -135,3 +135,18 @@ def test_print_then_parse_normalizes():
     for src in ["( A )", "A  +  B", "[ A , B ]", "Q^1 P_1", "A.B"]:
         e = parse(src)
         assert parse(print_expr(e)) == e
+
+
+@pytest.mark.parametrize("src, col", [
+    ("1/0", 1),         # zero denominator, not a ZeroDivisionError traceback
+    ("2 + 3/0 X", 5),
+    ("X^", 3),          # an index marker needs digits
+    ("X_", 3),
+    ("X_ Y", 3),
+    ("hbar^", 6),
+    ("hbar^-", 7),      # a signed exponent needs digits too
+])
+def test_malformed_literals_are_located_parse_errors(src, col):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert (err.value.line, err.value.col) == (1, col)

@@ -19,7 +19,6 @@ from . import suites
 from .parser import ParseError, evaluate, parse, print_expr, world
 from .quotient import NAMED_SYSTEMS, ReductionError
 from .scalar import Scalar
-from .suites import random_vec3
 
 
 def build_argparser() -> argparse.ArgumentParser:
@@ -129,26 +128,24 @@ def _cmd_verify(args) -> int:
 
 def _cmd_em_sim(args) -> int:
     _require_trials(args.trials)
-    rng = random.Random(args.seed)
     ids = ("lorentz-force", "divergence-b", "faraday-with-curvature", "ampere-with-waves")
     holds = {name: True for name in ids}
     worst = "0"
-    for _ in range(args.trials):
-        try:
-            x = random_vec3(rng, args.length, args.spread)
-            res, _ = sd.em_theorem_residuals(x)
-        except sd.WindowError as exc:
-            for name in ids:
-                holds[name] = False
-            worst = f"error: {exc}"
-            break
-        for name, value in zip(ids, (res.lorentz_force, res.div_b,
-                                     res.faraday, res.ampere)):
-            zero, text = suites.first_residual([value])
-            if not zero:
-                holds[name] = False
-                if worst == "0":
-                    worst = text
+    trials = suites.em_trials(random.Random(args.seed), args.trials, args.length,
+                              args.spread)
+    try:
+        for res, _ in trials:
+            for name, value in zip(ids, (res.lorentz_force, res.div_b,
+                                         res.faraday, res.ampere)):
+                zero, text = suites.first_residual([value])
+                if not zero:
+                    holds[name] = False
+                    if worst == "0":
+                        worst = text
+    except sd.WindowError as exc:
+        for name in ids:
+            holds[name] = False
+        worst = f"error: {exc}"
     obj = {
         "seed": args.seed,
         "trials": args.trials,

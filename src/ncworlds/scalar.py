@@ -1,16 +1,23 @@
 """Exact scalar arithmetic for the algebra kernel.
 
-A scalar is a finite sum of terms, each term a Gaussian rational (pair of
-exact ``Fraction`` values, real and imaginary) times a Laurent monomial in
-named commuting parameter symbols such as ``hbar``, ``m``, ``dt``, ``tau``.
-Nothing here ever rounds: all arithmetic is exact, and division is supported
-whenever the divisor is a single invertible term.
+A scalar is a finite sum of terms ``c i^k monomial``: an exact ``Fraction``
+``c``, a power ``k`` of 0 or 1 of the imaginary unit and a Laurent monomial
+in named commuting parameter symbols such as ``hbar``, ``m``, ``dt``, ``tau``.
+It is held in the shared sparse-sum format (``ncworlds.sparse``) with basis
+key ``(monomial, k)``, so ``i`` is one more basis key, as in the paper, where
+it is built from the algebra itself, and not a second coefficient slot.
+``terms()`` regroups the keys into ``(monomial, (re, im))`` pairs; no other
+module sees the key encoding. Nothing here ever rounds: all arithmetic is
+exact, and division is supported whenever the divisor is a Gaussian rational
+times one monomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
+
+from .sparse import SparseSum, add_into
 
 RatLike = Union[int, Fraction]
 
@@ -46,24 +53,17 @@ def _mono_text(a: Monomial) -> str:
     return " ".join(parts)
 
 
-class Scalar:
+class Scalar(SparseSum):
     """Element of the coefficient ring: Gaussian rationals extended by
     central parameter symbols with integer exponents.
 
-    Values are immutable and structurally canonical: zero coefficients are
-    never stored and exponent zero never appears in a monomial, so ``==``
+    The basis key ``(monomial, k)`` stands for ``i^k monomial`` with ``k`` 0
+    or 1, and its coefficient is a nonzero ``Fraction``; a real scalar has
+    no ``k = 1`` key. Exponent zero never appears in a monomial, so ``==``
     is mathematical equality.
     """
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Monomial, tuple[Fraction, Fraction]] | None = None):
-        canon: dict[Monomial, tuple[Fraction, Fraction]] = {}
-        if terms:
-            for mono, (re, im) in terms.items():
-                if re or im:
-                    canon[mono] = (re, im)
-        self._terms = canon
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -73,25 +73,25 @@ class Scalar:
 
     @staticmethod
     def one() -> "Scalar":
-        return Scalar({_EMPTY: (Fraction(1), Fraction(0))})
+        return Scalar({(_EMPTY, 0): Fraction(1)})
 
     @staticmethod
     def rational(p: RatLike, q: RatLike = 1) -> "Scalar":
-        return Scalar({_EMPTY: (Fraction(p) / Fraction(q), Fraction(0))})
+        return Scalar({(_EMPTY, 0): Fraction(p) / Fraction(q)})
 
     @staticmethod
     def gaussian(re: RatLike, im: RatLike) -> "Scalar":
-        return Scalar({_EMPTY: (Fraction(re), Fraction(im))})
+        return Scalar({(_EMPTY, 0): Fraction(re), (_EMPTY, 1): Fraction(im)})
 
     @staticmethod
     def imag_unit() -> "Scalar":
-        return Scalar({_EMPTY: (Fraction(0), Fraction(1))})
+        return Scalar({(_EMPTY, 1): Fraction(1)})
 
     @staticmethod
     def param(name: str, exp: int = 1, coeff: RatLike = 1) -> "Scalar":
         if exp == 0:
             return Scalar.rational(coeff)
-        return Scalar({((name, exp),): (Fraction(coeff), Fraction(0))})
+        return Scalar({(((name, exp),), 0): Fraction(coeff)})
 
     @staticmethod
     def coerce(value: "Scalar | RatLike") -> "Scalar":
@@ -101,47 +101,35 @@ class Scalar:
 
     # -- predicates --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_one(self) -> bool:
-        return self._terms == {_EMPTY: (Fraction(1), Fraction(0))}
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+        return self._terms == {(_EMPTY, 0): 1}
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Scalar | RatLike") -> "Scalar":
-        other = Scalar.coerce(other)
-        terms = dict(self._terms)
-        for mono, (re, im) in other._terms.items():
-            cre, cim = terms.get(mono, (Fraction(0), Fraction(0)))
-            terms[mono] = (cre + re, cim + im)
-        return Scalar(terms)
+        return SparseSum.__add__(self, Scalar.coerce(other))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Scalar":
-        return Scalar({m: (-re, -im) for m, (re, im) in self._terms.items()})
-
     def __sub__(self, other: "Scalar | RatLike") -> "Scalar":
-        return self + (-Scalar.coerce(other))
+        return SparseSum.__sub__(self, Scalar.coerce(other))
 
     def __rsub__(self, other: "Scalar | RatLike") -> "Scalar":
-        return Scalar.coerce(other) + (-self)
+        return SparseSum.__sub__(Scalar.coerce(other), self)
 
     def __mul__(self, other: "Scalar | RatLike") -> "Scalar":
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
         other = Scalar.coerce(other)
-        terms: dict[Monomial, tuple[Fraction, Fraction]] = {}
-        for m1, (a, b) in self._terms.items():
-            for m2, (c, d) in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                re, im = terms.get(mono, (Fraction(0), Fraction(0)))
-                terms[mono] = (re + a * c - b * d, im + a * d + b * c)
-        return Scalar(terms)
+        terms: dict[tuple[Monomial, int], Fraction] = {}
+        for (m1, k1), a in self._terms.items():
+            for (m2, k2), b in other._terms.items():
+                k = k1 + k2
+                if k == 2:   # i * i = -1
+                    add_into(terms, (_mono_mul(m1, m2), 0), -(a * b))
+                else:
+                    add_into(terms, (_mono_mul(m1, m2), k), a * b)
+        return self._like(terms)
 
     __rmul__ = __mul__
 
@@ -149,14 +137,16 @@ class Scalar:
         return self * Scalar.coerce(other).inverse()
 
     def inverse(self) -> "Scalar":
-        """Exact inverse; only single-term scalars are invertible here."""
-        if len(self._terms) != 1:
+        """Exact inverse; only a Gaussian rational times one monomial is
+        invertible here."""
+        pairs = self.terms()
+        if len(pairs) != 1:
             raise ZeroDivisionError(
                 "scalar division requires a nonzero single-term divisor"
             )
-        (mono, (a, b)), = self._terms.items()
-        norm = a * a + b * b
-        return Scalar({_mono_inv(mono): (a / norm, -b / norm)})
+        (mono, (a, b)), = pairs
+        norm, inv = a * a + b * b, _mono_inv(mono)
+        return Scalar({(inv, 0): a / norm, (inv, 1): -b / norm})
 
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
@@ -171,32 +161,27 @@ class Scalar:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Scalar.rational(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self._terms == other._terms
+        return SparseSum.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+    __hash__ = SparseSum.__hash__
 
-    def terms(self) -> Iterable[tuple[Monomial, tuple[Fraction, Fraction]]]:
-        return sorted(self._terms.items())
+    def terms(self) -> list[tuple[Monomial, tuple[Fraction, Fraction]]]:
+        """``(monomial, (re, im))`` pairs sorted by monomial."""
+        pairs: dict[Monomial, list[Fraction]] = {}
+        for (mono, k), c in self._terms.items():
+            pairs.setdefault(mono, [Fraction(0), Fraction(0)])[k] = c
+        return sorted((mono, tuple(pair)) for mono, pair in pairs.items())
 
     def substitute_square(self, name: str, replacement: "Scalar") -> "Scalar":
         """Replace param^(2k) by replacement^k; every exponent must be even."""
-        out = Scalar.zero()
-        for mono, (re, im) in self._terms.items():
-            rest: list[tuple[str, int]] = []
-            power = 0
-            for pname, e in mono:
-                if pname == name:
-                    if e % 2:
-                        raise ValueError(f"odd exponent on {name!r}")
-                    power = e // 2
-                else:
-                    rest.append((pname, e))
-            term = Scalar({tuple(rest): (re, im)})
-            out = out + term * replacement ** power
-        return out
+        def parts():
+            for (mono, k), c in self._terms.items():
+                rest = dict(mono)
+                power = rest.pop(name, 0)
+                if power % 2:
+                    raise ValueError(f"odd exponent on {name!r}")
+                yield self._like({(tuple(rest.items()), k): c}) * replacement ** (power // 2)
+        return Scalar.total(parts())
 
     # -- text --------------------------------------------------------------
 

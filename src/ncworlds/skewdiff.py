@@ -119,7 +119,11 @@ class SkewElement(SparseSum):
     """Finite sum of J^k . sequence terms, k >= 0.
 
     A term whose sequence is zero is still stored, because its window bounds
-    every later sum; a ``Sequence`` is never empty, so never false."""
+    every later sum; a ``Sequence`` is never empty, so never false.
+
+    Unhashable: ``==`` compares on the common window, so it is not even
+    transitive (``J (1, 2)@0`` equals both ``J (1, 2, 3)@0`` and
+    ``J (1, 2, 4)@0``), and no hash can agree with it."""
 
     __slots__ = ()
 
@@ -159,7 +163,7 @@ class SkewElement(SparseSum):
             return NotImplemented
         return (self - other).is_zero()
 
-    __hash__ = SparseSum.__hash__
+    __hash__ = None
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self._terms.values())

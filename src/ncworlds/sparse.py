@@ -1,8 +1,9 @@
 """The sparse-sum format shared by every element type.
 
 Each element of the kernel's algebras is a finite formal sum over a basis:
-words for ``NcPoly``, commutative monomials for ``CPoly``, shift powers for
-``SkewElement`` and permutations for ``IterantElement``. All of them store
+``(monomial, i-power)`` pairs for ``Scalar``, words for ``NcPoly``,
+commutative monomials for ``CPoly``, shift powers for ``SkewElement`` and
+permutations for ``IterantElement``. All of them store
 the sum as a dict ``_terms`` from basis key to coefficient that holds no
 zero coefficient, where a coefficient is zero when ``bool(value)`` is false.
 A coefficient type only needs ``+``, unary ``-`` and ``bool``.

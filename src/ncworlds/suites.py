@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Iterable, Sequence as Seq
+from typing import Callable, Iterable, Iterator, Sequence as Seq
 
 from . import constraints as cn
 from . import iterant as it
@@ -130,6 +130,13 @@ def random_sequence(rng: random.Random, length: int, spread: int,
 
 def random_vec3(rng: random.Random, length: int, spread: int) -> sd.Vec3:
     return sd.Vec3.of([random_sequence(rng, length, spread) for _ in range(3)])
+
+
+def em_trials(rng: random.Random, trials: int, length: int,
+              spread: int) -> Iterator[tuple[sd.EmResiduals, sd.Vec3]]:
+    """The EM theorem residuals and the field B of ``trials`` random series."""
+    for _ in range(trials):
+        yield sd.em_theorem_residuals(random_vec3(rng, length, spread))
 
 
 def bell_numbers(count: int) -> list[int]:
@@ -600,9 +607,7 @@ def suite_em(opt: Options) -> SuiteReport:
     trial_data: list[tuple[sd.EmResiduals, bool]] = []
 
     def run_trials():
-        for _ in range(opt.trials):
-            x = random_vec3(rng, opt.length, opt.spread)
-            res, b = sd.em_theorem_residuals(x)
+        for res, b in em_trials(rng, opt.trials, opt.length, opt.spread):
             bxb = sd.cross(b, b)
             trial_data.append((res, not bxb.is_zero()))
         return True, f"{opt.trials} random integer triples, length {opt.length}"

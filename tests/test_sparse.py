@@ -64,3 +64,14 @@ def test_iterant_order_mismatch_raises(op):
 def test_iterant_zeros_of_different_orders_differ():
     assert IterantElement.zero(2) != IterantElement.zero(3)
     assert IterantElement.zero(2) == IterantElement.zero(2)
+
+
+def test_skew_elements_are_unhashable():
+    # window-aware == is not transitive, so no hash can agree with it
+    short = SkewElement({1: Sequence([1, 2])})
+    assert short == SkewElement({1: Sequence([1, 2, 3])})
+    assert short == SkewElement({1: Sequence([1, 2, 4])})
+    assert SkewElement({1: Sequence([1, 2, 3])}) != SkewElement({1: Sequence([1, 2, 4])})
+    a = SkewElement({1: Sequence([1, 2, 3])})
+    with pytest.raises(TypeError):
+        hash(a - a)

@@ -20,6 +20,9 @@ from .parser import ParseError, evaluate, parse, print_expr, world
 from .quotient import NAMED_SYSTEMS, ReductionError
 from .scalar import Scalar
 
+# matrix decompose builds n! terms, each a diagonal of n scalars
+MAX_DECOMPOSE_N = 8
+
 
 def build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -215,6 +218,8 @@ def _cmd_matrix_decompose(args) -> int:
         return 2
     try:
         m = it.Matrix(rows)
+        if m.n > MAX_DECOMPOSE_N:
+            raise ValueError(f"matrix decompose takes n at most {MAX_DECOMPOSE_N}, got {m.n}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,8 @@ from .quotient import NAMED_SYSTEMS, RewriteSystem, reduce_poly
 from .scalar import Scalar
 
 DEFAULT_PARAMS = frozenset({"hbar", "m", "dt", "tau", "k", "Delta"})
+# A symmetrized product of n factors expands into n! products.
+MAX_SYMM_FACTORS = 8
 
 
 class ParseError(ValueError):
@@ -265,6 +267,8 @@ class _Parser:
             self.advance()
             factors = [self.parse_factor()]
             while self._starts_factor():
+                if len(factors) == MAX_SYMM_FACTORS:
+                    self.fail(f"a symmetrized product takes at most {MAX_SYMM_FACTORS} factors")
                 factors.append(self.parse_factor())
             self.expect("}")
             return Symm(tuple(factors))

@@ -5,6 +5,13 @@ position and may replace a short span by a polynomial. Reduction applies the
 first matching rule at the leftmost position, repeatedly, until no rule
 fires. The shipped systems terminate: each rule strictly decreases either
 the number of out-of-order adjacent pairs or the word length.
+
+The rule applied to a word depends on the word alone, so for a terminating
+system reduction is one fixed linear map NF: NF(w) = w for an irreducible
+word, else the sum of c' NF(w') over the terms c' w' of its rewrite.
+``reduce_poly`` therefore sums equal words before rewriting them, since
+NF(a w + b w) = (a + b) NF(w): the result is the same as following every
+rewrite path apart, confluent system or not, and cancelled words cost nothing.
 """
 
 from __future__ import annotations
@@ -69,20 +76,21 @@ def reduce_poly(e: NcPoly, system: RewriteSystem, max_steps: int | None = None) 
     limit = step_limit(max_steps)
     steps = 0
     out: dict[Word, Scalar] = {}
-    stack: list[tuple[Word, Scalar]] = [(w, c) for w, c in e.terms()]
-    while stack:
-        w, c = stack.pop()
-        match = _first_match(w, system)
-        if match is None:
-            add_into(out, w, c)
-            continue
-        steps += 1
-        if steps > limit:
-            raise ReductionError(system.name, w, limit)
-        i, span, repl = match
-        prefix, suffix = w[:i], w[i + span:]
-        for w2, c2 in repl.terms():
-            stack.append((prefix + w2 + suffix, c * c2))
+    pending: dict[Word, Scalar] = e._terms
+    while pending:
+        pending, rewriting = {}, pending
+        for w, c in rewriting.items():
+            match = _first_match(w, system)
+            if match is None:
+                add_into(out, w, c)
+                continue
+            steps += 1
+            if steps > limit:
+                raise ReductionError(system.name, w, limit)
+            i, span, repl = match
+            prefix, suffix = w[:i], w[i + span:]
+            for w2, c2 in repl._terms.items():
+                add_into(pending, prefix + w2 + suffix, c * c2)
     return NcPoly(out)
 
 
@@ -138,12 +146,8 @@ def _normal_order_rule(fn_names: frozenset[str] | None) -> Rule:
 
 
 def normal_order_system(name: str, fn_names: frozenset[str] | None) -> RewriteSystem:
-    return RewriteSystem(
-        name=name,
-        rules=(_normal_order_rule(fn_names),),
-        note="each application removes an inversion or shortens the word",
-        fn_names=fn_names,
-    )
+    note = "each application removes an inversion or shortens the word"
+    return RewriteSystem(name, (_normal_order_rule(fn_names),), note, fn_names)
 
 
 FREE = RewriteSystem(name="free", rules=(), note="no relations", fn_names=frozenset())
@@ -169,13 +173,8 @@ def abc_system() -> RewriteSystem:
 
 ABC = abc_system()
 
-NAMED_SYSTEMS = {
-    "free": FREE,
-    "flat": FLAT,
-    "flat-fn": FLAT_FN,
-    "abc": ABC,
-    "abc-relations": ABC,
-}
+NAMED_SYSTEMS = {"free": FREE, "flat": FLAT, "flat-fn": FLAT_FN, "abc": ABC,
+                 "abc-relations": ABC}
 
 
 # -- flat-world calculus ----------------------------------------------------

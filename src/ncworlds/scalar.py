@@ -97,7 +97,9 @@ class Scalar(SparseSum):
     def coerce(value: "Scalar | RatLike") -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        return Scalar.rational(value)
+        if isinstance(value, (int, Fraction)):
+            return Scalar.rational(value)
+        raise TypeError(f"not an exact scalar: {value!r}")
 
     # -- predicates --------------------------------------------------------
 
@@ -107,18 +109,24 @@ class Scalar(SparseSum):
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Scalar | RatLike") -> "Scalar":
+        if not isinstance(other, _EXACT):
+            return NotImplemented
         return SparseSum.__add__(self, Scalar.coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other: "Scalar | RatLike") -> "Scalar":
+        if not isinstance(other, _EXACT):
+            return NotImplemented
         return SparseSum.__sub__(self, Scalar.coerce(other))
 
     def __rsub__(self, other: "Scalar | RatLike") -> "Scalar":
+        if not isinstance(other, _EXACT):
+            return NotImplemented
         return SparseSum.__sub__(Scalar.coerce(other), self)
 
     def __mul__(self, other: "Scalar | RatLike") -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
+        if not isinstance(other, _EXACT):
             return NotImplemented
         other = Scalar.coerce(other)
         terms: dict[tuple[Monomial, int], Fraction] = {}
@@ -229,6 +237,9 @@ def _term_text(mono: Monomial, re: Fraction, im: Fraction) -> str:
         return "-" + mtxt
     return f"{gtxt} {mtxt}"
 
+
+# The operand types that arithmetic accepts; anything else is NotImplemented.
+_EXACT = (Scalar, int, Fraction)
 
 ZERO = Scalar.zero()
 ONE = Scalar.one()

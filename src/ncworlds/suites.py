@@ -32,6 +32,9 @@ class Check:
     elapsed: float = 0.0
 
 
+CheckFn = Callable[[], tuple[bool, str]]
+
+
 @dataclass
 class SuiteReport:
     suite: str
@@ -42,6 +45,20 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
+
+    def check(self, cid: str, statement: str, fn: CheckFn) -> None:
+        t0 = time.perf_counter()
+        try:
+            ok, residual = fn()
+        except Exception as exc:
+            # any error inside a check (window exhaustion, step limit) is a
+            # failed check, never a crashed run
+            ok, residual = False, f"error: {exc}"
+        self.checks.append(Check(cid, statement, "pass" if ok else "fail",
+                                 residual, time.perf_counter() - t0))
+
+    def note(self, text: str) -> None:
+        self.notes.append(text)
 
     def to_json_obj(self) -> dict:
         # elapsed is excluded so identical runs emit identical bytes
@@ -66,34 +83,6 @@ class Options:
     spread: int = 3
     levels: int = 12
     max_steps: int | None = None
-
-
-CheckFn = Callable[[], tuple[bool, str]]
-
-
-class _Suite:
-    def __init__(self, name: str, seed: int | None = None):
-        self.name = name
-        self.seed = seed
-        self.checks: list[Check] = []
-        self.notes: list[str] = []
-
-    def check(self, cid: str, statement: str, fn: CheckFn) -> None:
-        t0 = time.perf_counter()
-        try:
-            ok, residual = fn()
-        except Exception as exc:
-            # any error inside a check (window exhaustion, step limit) is a
-            # failed check, never a crashed run
-            ok, residual = False, f"error: {exc}"
-        self.checks.append(Check(cid, statement, "pass" if ok else "fail",
-                                 residual, time.perf_counter() - t0))
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
-
-    def report(self) -> SuiteReport:
-        return SuiteReport(self.name, self.checks, self.seed, self.notes)
 
 
 # -- residual helpers ---------------------------------------------------------
@@ -155,7 +144,7 @@ def bell_numbers(count: int) -> list[int]:
 # -- iterant suite ------------------------------------------------------------
 
 def suite_iterant(opt: Options) -> SuiteReport:
-    s = _Suite("iterant", opt.seed)
+    s = SuiteReport("iterant", seed=opt.seed)
     rng = random.Random(opt.seed)
     one = it.IterantElement.scalar(2, 1)
     minus_one = -one
@@ -309,7 +298,7 @@ def suite_iterant(opt: Options) -> SuiteReport:
             "scale maps [a,b] -> [ka, b/k] preserve (t-x)(t+x); v = 3/5 gives (5/4, -3/4)",
             lorentz)
 
-    return s.report()
+    return s
 
 
 # -- flat world suite ----------------------------------------------------------
@@ -318,7 +307,7 @@ _FLAT_POOL = (qt.q_gen(1), qt.q_gen(2), qt.p_gen(1), qt.p_gen(2))
 
 
 def suite_flat(opt: Options) -> SuiteReport:
-    s = _Suite("flat", opt.seed)
+    s = SuiteReport("flat", seed=opt.seed)
     rng = random.Random(opt.seed)
     flat = qt.FLAT
 
@@ -409,11 +398,11 @@ def suite_flat(opt: Options) -> SuiteReport:
             "[Q_i, h] = dh/dP_i and [P_i, h] = -dh/dQ_i for 20 random h",
             hamilton)
 
-    return s.report()
+    return s
 
 
 def suite_schroedinger(opt: Options) -> SuiteReport:
-    s = _Suite("schroedinger", opt.seed)
+    s = SuiteReport("schroedinger", seed=opt.seed)
     s.check("heisenberg-form", "[psi, J/dt] = i hbar [psi, H] for J = 1 + i hbar H dt",
             lambda: first_residual([qt.schroedinger_residual()]))
 
@@ -436,11 +425,11 @@ def suite_schroedinger(opt: Options) -> SuiteReport:
 
     s.check("central-hamiltonian", "a scalar H commutes with psi on both sides",
             central)
-    return s.report()
+    return s
 
 
 def suite_gauge(opt: Options) -> SuiteReport:
-    s = _Suite("gauge", opt.seed)
+    s = SuiteReport("gauge", seed=opt.seed)
     rng = random.Random(opt.seed)
     s.note("mixed covariant derivatives composed in writing order give [F, R_ij]; "
            "the opposite composition convention gives [R_ij, F]")
@@ -479,11 +468,11 @@ def suite_gauge(opt: Options) -> SuiteReport:
     s.check("function-valued-connection",
             "for A_i = a_i(Q) the bracket term drops: R_12 = a_2,1 - a_1,2",
             function_connection)
-    return s.report()
+    return s
 
 
 def suite_epsilon(opt: Options) -> SuiteReport:
-    s = _Suite("epsilon", opt.seed)
+    s = SuiteReport("epsilon", seed=opt.seed)
     rng = random.Random(opt.seed)
 
     def identity():
@@ -517,11 +506,11 @@ def suite_epsilon(opt: Options) -> SuiteReport:
 
     s.check("triple-product",
             "A x (B x C) = (A.C) B - (A.B) C for commuting components", triple)
-    return s.report()
+    return s
 
 
 def suite_em(opt: Options) -> SuiteReport:
-    s = _Suite("em", opt.seed)
+    s = SuiteReport("em", seed=opt.seed)
     rng = random.Random(opt.seed)
 
     def nabla_leibniz():
@@ -725,11 +714,11 @@ def suite_em(opt: Options) -> SuiteReport:
 
     s.check("clock-rotation",
             "[q, p/m] = hbar/m, and with dt -> i dt, [p, q] = i hbar", wick)
-    return s.report()
+    return s
 
 
 def suite_constraints_1(opt: Options) -> SuiteReport:
-    s = _Suite("constraints-1", opt.seed)
+    s = SuiteReport("constraints-1", seed=opt.seed)
 
     def dim(n: int) -> CheckFn:
         return lambda: first_residual([cn.first_constraint_residual(n, opt.max_steps)])
@@ -749,11 +738,11 @@ def suite_constraints_1(opt: Options) -> SuiteReport:
 
     s.check("constant-theta", "a constant observable has zero drift and gradient",
             constant_theta)
-    return s.report()
+    return s
 
 
 def suite_constraints_2(opt: Options) -> SuiteReport:
-    s = _Suite("constraints-2", opt.seed)
+    s = SuiteReport("constraints-2", seed=opt.seed)
     rng = random.Random(opt.seed)
 
     def free_identity():
@@ -812,11 +801,11 @@ def suite_constraints_2(opt: Options) -> SuiteReport:
     s.note("summed curvature form sum_ij [[H_i, H_j], T_ij] vanishes identically "
            "for symmetric T by antisymmetry; per-index vanishing is the "
            "substantive constraint")
-    return s.report()
+    return s
 
 
 def suite_constraints_3(opt: Options) -> SuiteReport:
-    s = _Suite("constraints-3", opt.seed)
+    s = SuiteReport("constraints-3", seed=opt.seed)
     theta, h, hdot = NcPoly.gen("Theta"), NcPoly.gen("H"), NcPoly.gen("H", primes=1)
     result = cn.third_constraint_check(theta, h, hdot)
 
@@ -837,11 +826,11 @@ def suite_constraints_3(opt: Options) -> SuiteReport:
             ratio)
     if result.ratio is not None:
         s.note(f"computed ratio c = {result.ratio}")
-    return s.report()
+    return s
 
 
 def suite_tower(opt: Options) -> SuiteReport:
-    s = _Suite("tower", opt.seed)
+    s = SuiteReport("tower", seed=opt.seed)
     levels = max(opt.levels, 12)
     tower = cn.derivative_tower(levels)
     h, t = cn.hsym, cn.THETA
@@ -915,11 +904,11 @@ def suite_tower(opt: Options) -> SuiteReport:
 
     s.check("derivation-chain", "each level is the derivative of the previous one",
             chain)
-    return s.report()
+    return s
 
 
 def suite_bianchi(opt: Options) -> SuiteReport:
-    s = _Suite("bianchi", opt.seed)
+    s = SuiteReport("bianchi", seed=opt.seed)
     rng = random.Random(opt.seed)
     pool = (G("N", 1), G("N", 2), G("N", 3), G("M"))
 
@@ -982,7 +971,7 @@ def suite_bianchi(opt: Options) -> SuiteReport:
 
     s.check("scalar-exactness", "i^2 = -1 and rational and Laurent arithmetic is exact",
             exact_scalars)
-    return s.report()
+    return s
 
 
 SUITES: dict[str, Callable[[Options], SuiteReport]] = {

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ncworlds.cli import main
+from ncworlds.parser import parse
 
 
 def run(capsys, *argv):
@@ -170,3 +171,20 @@ def test_em_sim_rejects_nonpositive_trials(capsys, trials):
     assert code == 2
     assert out == ""
     assert "--trials" in err
+
+
+def test_decompose_rejects_matrices_above_eight(capsys):
+    rows = json.dumps([[1] * 9] * 9)
+    code, out, err = run(capsys, "matrix", "decompose", rows)
+    assert code == 2
+    assert out == ""
+    assert "at most 8" in err and "9" in err
+
+
+def test_symmetrizer_rejects_more_than_eight_factors(capsys):
+    code, out, err = run(capsys, "reduce", "{A B C D E F G H K}")
+    assert code == 2
+    assert out == ""
+    # located at the ninth factor
+    assert "1:18" in err and "at most 8 factors" in err
+    assert len(parse("{A B C D E F G H}").factors) == 8

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ncworlds.ncpoly import G, NcPoly, commutator
-from ncworlds.quotient import (ABC, FLAT, P, Q, ReductionError, RewriteSystem,
+from ncworlds.quotient import (ABC, FLAT, FLAT_FN, P, Q, ReductionError, RewriteSystem,
                                flat_partial_p, flat_partial_q,
                                flat_with_functions, formal_partial_p,
                                formal_partial_q, gauge_curvature_residual,
@@ -168,3 +169,59 @@ def test_reduction_with_inert_generators():
     w = P(1) * h * Q(1)
     assert reduce_poly(w, FLAT) == w
     assert reduce_poly(P(1) * Q(1) * h, FLAT) == (Q(1) * P(1) - NcPoly.one()) * h
+
+
+def stirling2_row(n):
+    """S(n, 0..n), Stirling numbers of the second kind, by their recurrence
+    S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [0] + [k * (row[k] if k < m else 0) + row[k - 1] for k in range(1, m + 1)]
+    return row
+
+
+def test_stirling_row_oracle_itself():
+    assert stirling2_row(4) == [0, 1, 7, 6, 1]
+    assert sum(stirling2_row(6)) == 203   # the Bell number B_6
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_normal_ordered_qp_power_has_stirling_coefficients(n):
+    # boson normal ordering: (Q P)^n = sum_k (-1)^(n+k) S(n,k) Q^k P^k
+    s = stirling2_row(n)
+    expected = NcPoly.total((Q(1) ** k * P(1) ** k).scaled((-1) ** (n + k) * s[k])
+                            for k in range(1, n + 1))
+    assert reduce_poly((Q(1) * P(1)) ** n, FLAT) == expected
+
+
+def test_equal_words_are_merged_before_rewriting():
+    # following every rewrite path apart takes 4139 steps here
+    s = stirling2_row(8)
+    expected = NcPoly.total((Q(1) ** k * P(1) ** k).scaled((-1) ** (8 + k) * s[k])
+                            for k in range(1, 9))
+    assert reduce_poly((Q(1) * P(1)) ** 8, FLAT, max_steps=1000) == expected
+
+
+LINEARITY_POOLS = {
+    "flat": (FLAT, POOL),
+    "flat-fn": (FLAT_FN, POOL + (G("theta"), G("g", 1))),
+    "abc": (ABC, (G("A"), G("B"), G("C"))),
+}
+
+
+def small_polys(pool):
+    term = st.tuples(st.lists(st.sampled_from(pool), max_size=4), st.integers(-3, 3))
+    return st.lists(term, max_size=4).map(
+        lambda terms: NcPoly.total(NcPoly.from_word(tuple(w), c) for w, c in terms))
+
+
+@pytest.mark.parametrize("name", sorted(LINEARITY_POOLS))
+def test_reduction_is_linear(name):
+    system, pool = LINEARITY_POOLS[name]
+
+    @given(small_polys(pool), small_polys(pool))
+    def check(a, b):
+        assert (reduce_poly(a + b, system)
+                == reduce_poly(a, system) + reduce_poly(b, system))
+
+    check()

@@ -1,8 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from ncworlds.ncpoly import NcPoly
 from ncworlds.scalar import Scalar
 
 
@@ -98,3 +100,38 @@ def test_structural_equality_and_hash():
     b = Scalar.rational(1, 2) * Scalar.param("m")
     assert a == b and hash(a) == hash(b)
     assert a != Scalar.param("m")
+
+
+@pytest.mark.parametrize("value", [1.5, "1/2", 0.5j, None])
+def test_inexact_operands_are_not_implemented(value):
+    one = Scalar.one()
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        assert getattr(one, op)(value) is NotImplemented
+    with pytest.raises(TypeError):
+        one + value
+    with pytest.raises(TypeError):
+        value - one
+
+
+@pytest.mark.parametrize("value", [1.5, "1/2", None])
+def test_coerce_rejects_inexact_values_by_name(value):
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        Scalar.coerce(value)
+
+
+def test_adding_another_element_type_defers_to_python():
+    x = NcPoly.gen("X")
+    for a, b in ((Scalar.one(), x), (x, Scalar.one())):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a + b
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a - b
+    assert Scalar.one() * x == x
+
+
+def test_exact_operands_still_mix():
+    half = Scalar.rational(1, 2)
+    assert half + 1 == Scalar.rational(3, 2) == 1 + half
+    assert half - Fraction(1, 4) == Scalar.rational(1, 4)
+    assert 1 - half == half
+    assert Scalar.coerce(Fraction(2, 3)) == Scalar.rational(2, 3)

@@ -22,6 +22,8 @@ from .scalar import Scalar
 
 # matrix decompose builds n! terms, each a diagonal of n scalars
 MAX_DECOMPOSE_N = 8
+# the derivative tower's time grows about tenfold per ten levels: 1.5 s at 30
+MAX_TOWER_LEVELS = 30
 
 
 def build_argparser() -> argparse.ArgumentParser:
@@ -120,8 +122,14 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"--trials must be at least 1, got {trials}")
 
 
+def _require_levels(levels: int) -> None:
+    if levels > MAX_TOWER_LEVELS:
+        raise ValueError(f"--levels takes at most {MAX_TOWER_LEVELS}, got {levels}")
+
+
 def _cmd_verify(args) -> int:
     _require_trials(args.trials)
+    _require_levels(args.levels)
     options = suites.Options(seed=args.seed, trials=args.trials, length=args.length,
                              spread=args.spread, levels=args.levels,
                              max_steps=args.max_steps)
@@ -167,6 +175,7 @@ def _cmd_em_sim(args) -> int:
 
 
 def _cmd_tower(args) -> int:
+    _require_levels(args.levels)
     tower = cn.derivative_tower(args.levels)
     series_name = args.coeff_series
     series: list[str] = []

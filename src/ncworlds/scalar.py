@@ -77,11 +77,11 @@ class Scalar(SparseSum):
 
     @staticmethod
     def rational(p: RatLike, q: RatLike = 1) -> "Scalar":
-        return Scalar({(_EMPTY, 0): Fraction(p) / Fraction(q)})
+        return Scalar({(_EMPTY, 0): _fraction(p) / _fraction(q)})
 
     @staticmethod
     def gaussian(re: RatLike, im: RatLike) -> "Scalar":
-        return Scalar({(_EMPTY, 0): Fraction(re), (_EMPTY, 1): Fraction(im)})
+        return Scalar({(_EMPTY, 0): _fraction(re), (_EMPTY, 1): _fraction(im)})
 
     @staticmethod
     def imag_unit() -> "Scalar":
@@ -91,15 +91,11 @@ class Scalar(SparseSum):
     def param(name: str, exp: int = 1, coeff: RatLike = 1) -> "Scalar":
         if exp == 0:
             return Scalar.rational(coeff)
-        return Scalar({(((name, exp),), 0): Fraction(coeff)})
+        return Scalar({(((name, exp),), 0): _fraction(coeff)})
 
     @staticmethod
     def coerce(value: "Scalar | RatLike") -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar.rational(value)
-        raise TypeError(f"not an exact scalar: {value!r}")
+        return value if isinstance(value, Scalar) else Scalar.rational(value)
 
     # -- predicates --------------------------------------------------------
 
@@ -171,7 +167,10 @@ class Scalar(SparseSum):
             other = Scalar.rational(other)
         return SparseSum.__eq__(self, other)
 
-    __hash__ = SparseSum.__hash__
+    def __hash__(self) -> int:
+        # a rational constant hashes as the number it equals
+        value = narrow(self)
+        return SparseSum.__hash__(self) if value is self else hash(value)
 
     def terms(self) -> list[tuple[Monomial, tuple[Fraction, Fraction]]]:
         """``(monomial, (re, im))`` pairs sorted by monomial."""
@@ -240,6 +239,28 @@ def _term_text(mono: Monomial, re: Fraction, im: Fraction) -> str:
 
 # The operand types that arithmetic accepts; anything else is NotImplemented.
 _EXACT = (Scalar, int, Fraction)
+
+
+def _fraction(value: RatLike) -> Fraction:
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"not an exact scalar: {value!r}")
+
+
+def narrow(value: "Scalar | RatLike") -> "Scalar | int | Fraction":
+    """A rational constant as a plain ``int``, or a ``Fraction`` when its
+    denominator is not 1; any other scalar unchanged."""
+    if isinstance(value, Scalar):
+        terms = value._terms
+        if not terms:
+            return 0
+        if len(terms) > 1 or (_EMPTY, 0) not in terms:
+            return value
+        value = terms[_EMPTY, 0]
+    else:
+        value = _fraction(value)
+    return int(value) if value.denominator == 1 else value
+
 
 ZERO = Scalar.zero()
 ONE = Scalar.one()

@@ -1,6 +1,10 @@
 """Shift-operator calculus on finite time series.
 
-A sequence holds exact values on an integer index window. The skew algebra
+A sequence holds exact values on an integer index window. A value that is a
+rational constant is stored as a plain ``int``, or as a ``Fraction`` when
+its denominator is not 1, so integer series run on machine integers; any
+other value (one with a parameter or the imaginary unit) stays a ``Scalar``.
+The two kinds mix through Python's operators. The skew algebra
 adjoins a shift J with f.J = J.f1, where f1 is f advanced one tick; every
 application of J shrinks the valid window by one on the right. Elements are
 finite sums J^k . sequence, multiplied by the skew rule, and the adjusted
@@ -10,10 +14,11 @@ the raw difference operator does not.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence as Seq
+from typing import Callable, Iterator, Mapping, Sequence as Seq, Union
 
-from .scalar import RatLike, Scalar
+from .scalar import RatLike, Scalar, narrow
 from .sparse import SparseSum, add_into
 
 
@@ -21,23 +26,41 @@ class WindowError(RuntimeError):
     """An operation ran out of valid window."""
 
 
+# A stored value: a plain rational constant or a Scalar.
+Value = Union[RatLike, Scalar]
+
+
 class Sequence:
-    """Finite run of scalars; values[t - start] is the value at time t."""
+    """Finite run of exact values; values[t - start] is the value at time t.
+
+    ``values`` and ``at`` give ``int | Fraction | Scalar``: the constructor
+    stores a rational constant as a plain ``int`` or ``Fraction`` (see
+    ``scalar.narrow``) and any other value as a ``Scalar``. Arithmetic
+    keeps whatever Python's operators return, so a product such as
+    ``hbar * hbar^-1`` stays the ``Scalar`` 1; it equals and hashes like 1."""
 
     __slots__ = ("start", "values")
 
     def __init__(self, values: Seq[Scalar | RatLike], start: int = 0):
-        self.values = tuple(Scalar.coerce(v) for v in values)
+        self.values = tuple(map(narrow, values))
         self.start = start
         if not self.values:
             raise WindowError("window exhausted: empty sequence")
+
+    @classmethod
+    def _of(cls, values: tuple, start: int) -> "Sequence":
+        """A sequence holding ``values`` as given; they must be non-empty."""
+        out = object.__new__(cls)
+        out.values = values
+        out.start = start
+        return out
 
     @property
     def end(self) -> int:
         """Last valid index, inclusive."""
         return self.start + len(self.values) - 1
 
-    def at(self, t: int) -> Scalar:
+    def at(self, t: int) -> Value:
         if not self.start <= t <= self.end:
             raise WindowError(f"index {t} outside window [{self.start}, {self.end}]")
         return self.values[t - self.start]
@@ -50,32 +73,33 @@ class Sequence:
             return self
         if b < 0 or b >= len(self.values):
             raise WindowError(f"window exhausted shifting by {b}")
-        return Sequence(self.values[b:], self.start)
+        return Sequence._of(self.values[b:], self.start)
 
-    def _zip(self, other: "Sequence", op: Callable[[Scalar, Scalar], Scalar]) -> "Sequence":
+    def _zip(self, other: "Sequence", op: Callable[[Value, Value], Value]) -> "Sequence":
+        """``op`` pointwise on the common window."""
         lo = max(self.start, other.start)
-        hi = min(self.end, other.end)
-        if lo > hi:
+        values = tuple(map(op, self.values[lo - self.start:], other.values[lo - other.start:]))
+        if not values:
             raise WindowError("window exhausted: no overlap")
-        return Sequence([op(self.at(t), other.at(t)) for t in range(lo, hi + 1)], lo)
+        return Sequence._of(values, lo)
 
     def __add__(self, other: "Sequence") -> "Sequence":
-        return self._zip(other, lambda a, b: a + b)
+        return self._zip(other, operator.add)
 
     def __sub__(self, other: "Sequence") -> "Sequence":
-        return self._zip(other, lambda a, b: a - b)
+        return self._zip(other, operator.sub)
 
     def __mul__(self, other: "Sequence | Scalar | RatLike") -> "Sequence":
         if isinstance(other, Sequence):
-            return self._zip(other, lambda a, b: a * b)
-        s = Scalar.coerce(other)
-        return Sequence([v * s for v in self.values], self.start)
+            return self._zip(other, operator.mul)
+        s = narrow(other)
+        return Sequence._of(tuple([v * s for v in self.values]), self.start)
 
     def __rmul__(self, other: "Scalar | RatLike") -> "Sequence":
         return self * other
 
     def __neg__(self) -> "Sequence":
-        return Sequence([-v for v in self.values], self.start)
+        return Sequence._of(tuple(map(operator.neg, self.values)), self.start)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
@@ -86,7 +110,7 @@ class Sequence:
         return hash((self.start, self.values))
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
+        return not any(self.values)
 
     def is_constant(self) -> bool:
         return all(v == self.values[0] for v in self.values)
@@ -99,7 +123,8 @@ class Sequence:
         return len(self.values)
 
     def to_text(self) -> str:
-        body = ", ".join(v.to_text() for v in self.values)
+        body = ", ".join(v.to_text() if isinstance(v, Scalar) else str(v)
+                         for v in self.values)
         return f"({body})@{self.start}"
 
     def __repr__(self) -> str:
@@ -112,7 +137,7 @@ def delta(f: Sequence) -> Sequence:
 
 
 def constant(value: Scalar | RatLike, start: int, length: int) -> Sequence:
-    return Sequence([Scalar.coerce(value)] * length, start)
+    return Sequence([value] * length, start)
 
 
 class SkewElement(SparseSum):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ncworlds.cli import main
+from ncworlds import constraints
+from ncworlds.cli import MAX_TOWER_LEVELS, main
 from ncworlds.parser import parse
 
 
@@ -188,3 +189,18 @@ def test_symmetrizer_rejects_more_than_eight_factors(capsys):
     # located at the ninth factor
     assert "1:18" in err and "at most 8 factors" in err
     assert len(parse("{A B C D E F G H}").factors) == 8
+
+
+def test_tower_levels_are_bounded(capsys, monkeypatch):
+    # a stub tower: the bound is checked before any level is computed
+    asked = []
+    monkeypatch.setattr(constraints, "derivative_tower", lambda n: asked.append(n) or [])
+    over = str(MAX_TOWER_LEVELS + 1)
+    for argv in (("tower", "--levels", over), ("verify", "tower", "--levels", over)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"at most {MAX_TOWER_LEVELS}" in err and over in err
+    assert asked == []
+    code, _, _ = run(capsys, "tower", "--levels", str(MAX_TOWER_LEVELS), "--json")
+    assert code == 0 and asked == [MAX_TOWER_LEVELS]

@@ -45,6 +45,9 @@ GOLDEN = [
     (["matrix", "decompose", "[[1, 2], [3, \"1/2\"]]"], 0, "39192000fd0847e7d65ff3c5d1408a487a0840f1960d4a314d02cc142b8f7040"),
     (["matrix", "decompose", "[[0, 1, \"-2/3\"], [4, 5, 6], [7, 0, 9]]"], 0, "2f366fbc41a89e9d8e6da025143cd8755463883fc072611f8da79853c7162980"),
     (["matrix", "decompose", "[[1, 2], [3]]"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["em-sim", "--trials", "4", "--length", "16", "--range", "5", "--json"], 0, "dc5e693d2d2009e9a0823dd37d3a51c63cded786cc44678b7a8a7b3b24168fd8"),
+    (["verify", "em", "--seed", "12", "--trials", "2", "--length", "12", "--json"], 0, "67f2b3ee57de64c08d9919f965ce616f0971148f0766d69532e11e681fda3382"),
+    (["verify", "epsilon", "--seed", "13", "--length", "12", "--json"], 0, "5ccb22ef82944008e6d261217e92196f3ce488ea5eda5c0acff5749135894fae"),
 ]
 
 

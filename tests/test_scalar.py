@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ncworlds.ncpoly import NcPoly
-from ncworlds.scalar import Scalar
+from ncworlds.scalar import Scalar, narrow
 
 
 def test_gaussian_unit_squares_to_minus_one():
@@ -135,3 +135,39 @@ def test_exact_operands_still_mix():
     assert half - Fraction(1, 4) == Scalar.rational(1, 4)
     assert 1 - half == half
     assert Scalar.coerce(Fraction(2, 3)) == Scalar.rational(2, 3)
+
+
+def test_rational_constants_hash_like_the_numbers_they_equal():
+    assert len({Scalar.one(), 1, Fraction(1)}) == 1
+    assert len({Scalar.zero(), 0}) == 1
+    assert hash(Scalar.rational(3, 4)) == hash(Fraction(3, 4))
+    hbar = Scalar.param("hbar")
+    assert len({hbar * hbar.inverse(), 1}) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: Scalar.rational(v),
+    lambda v: Scalar.rational(1, v),
+    lambda v: Scalar.gaussian(v, 0),
+    lambda v: Scalar.gaussian(0, v),
+    lambda v: Scalar.param("m", coeff=v),
+    lambda v: Scalar.param("m", 0, coeff=v),
+], ids=["rational", "rational-q", "gaussian-re", "gaussian-im", "param", "param-exp0"])
+@pytest.mark.parametrize("value", [0.1, "1/2", None])
+def test_constructors_reject_inexact_values_by_name(make, value):
+    with pytest.raises(TypeError, match=re.escape(f"not an exact scalar: {value!r}")):
+        make(value)
+
+
+def test_narrow_gives_plain_rationals_and_keeps_other_scalars():
+    for value, want in ((Scalar.rational(6, 3), 2), (Scalar.zero(), 0),
+                        (Fraction(4, 2), 2), (7, 7), (True, 1)):
+        assert narrow(value) == want and type(narrow(value)) is int
+    for value, want in ((Scalar.rational(1, 2), Fraction(1, 2)),
+                        (Fraction(-1, 2), Fraction(-1, 2))):
+        assert narrow(value) == want and type(narrow(value)) is Fraction
+    for value in (Scalar.param("m"), Scalar.imag_unit(), Scalar.gaussian(1, 1),
+                  Scalar.one() + Scalar.param("m")):
+        assert narrow(value) is value
+    with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
+        narrow(0.5)

@@ -1,6 +1,9 @@
+import operator
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncworlds.scalar import Scalar
 from ncworlds.skewdiff import (Sequence, SkewElement, Vec3, WindowError,
@@ -295,3 +298,74 @@ def test_wick_rotation():
     # with a frozen walk the commutator is zero: the hbar -> 0 degeneration
     frozen = position_velocity_commutator(constant(3, 0, 6))
     assert frozen.is_zero()
+
+
+# -- mixed storage: plain rationals and Scalars ----------------------------------
+
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+params = st.builds(lambda c, name, e: Scalar.param(name, e, c),
+                   fractions, st.sampled_from(("hbar", "tau")), st.integers(-2, 2))
+values = st.one_of(st.integers(-4, 4), fractions, fractions.map(Scalar.rational),
+                   params, st.builds(operator.add, params, st.integers(-2, 2)))
+windows = st.tuples(st.lists(values, min_size=1, max_size=6), st.integers(-2, 2))
+
+
+def check_against(result, start, want):
+    """``result`` holds the Scalars ``want`` from ``start`` on."""
+    assert result.start == start and len(result) == len(want)
+    assert all(result.at(start + n) == w for n, w in enumerate(want))
+    expected = Sequence(want, start)
+    assert result == expected and hash(result) == hash(expected)
+    assert result.is_zero() == all(w.is_zero() for w in want)
+    assert result.to_text() == f"({', '.join(w.to_text() for w in want)})@{start}"
+
+
+def test_constructor_stores_rational_constants_as_plain_numbers():
+    hbar = Scalar.param("hbar")
+    f = Sequence([Scalar.rational(4, 2), Fraction(1, 2), Scalar.zero(), 3, hbar])
+    assert [type(v) for v in f.values] == [int, Fraction, int, int, Scalar]
+    assert f.values == (2, Fraction(1, 2), 0, 3, hbar)
+
+
+def test_sequences_equal_across_storage_hash_alike():
+    a = Scalar.param("hbar")
+    product = Sequence([a]) * Sequence([a.inverse()])
+    assert isinstance(product.values[0], Scalar)
+    assert product == Sequence([1])
+    assert len({product, Sequence([1])}) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(windows, windows, values)
+def test_mixed_sequence_arithmetic_matches_scalar_reference(fw, gw, k):
+    (fv, fs), (gv, gs) = fw, gw
+    f, g = Sequence(fv, fs), Sequence(gv, gs)
+    fref = [Scalar.coerce(v) for v in fv]
+    gref = [Scalar.coerce(v) for v in gv]
+    lo = max(fs, gs)
+    hi = min(fs + len(fv), gs + len(gv))
+    for op in (operator.add, operator.sub, operator.mul):
+        if lo >= hi:
+            with pytest.raises(WindowError):
+                op(f, g)
+            continue
+        want = [op(fref[t - fs], gref[t - gs]) for t in range(lo, hi)]
+        check_against(op(f, g), lo, want)
+    check_against(-f, fs, [-v for v in fref])
+    check_against(f * k, fs, [v * Scalar.coerce(k) for v in fref])
+    check_against(k * f, fs, [v * Scalar.coerce(k) for v in fref])
+    for b in range(len(fv)):
+        check_against(f.shift(b), fs, fref[b:])
+    assert (f == g) == (fs == gs and fref == gref)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**32))
+def test_em_theorem_with_parameter_entries_and_tick(seed):
+    rng = random.Random(seed)
+    hbar, tau = Scalar.param("hbar"), Scalar.param("tau", -1)
+    pool = (hbar, tau, hbar * tau, 1)
+    x = Vec3.of([Sequence([rng.randint(-2, 2) * rng.choice(pool) for _ in range(8)])
+                 for _ in range(3)])
+    res, _ = em_theorem_residuals(x, dt=Scalar.param("dt"))
+    assert res.all_zero()

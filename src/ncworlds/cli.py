@@ -18,7 +18,7 @@ from . import skewdiff as sd
 from . import suites
 from .parser import ParseError, evaluate, parse, print_expr, world
 from .quotient import NAMED_SYSTEMS, ReductionError
-from .scalar import Scalar
+from .scalar import text
 
 # matrix decompose builds n! terms, each a diagonal of n scalars
 MAX_DECOMPOSE_N = 8
@@ -122,14 +122,16 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"--trials must be at least 1, got {trials}")
 
 
-def _require_levels(levels: int) -> None:
+def _require_levels(levels: int, least: int = 1) -> None:
+    if levels < least:
+        raise ValueError(f"--levels takes at least {least}, got {levels}")
     if levels > MAX_TOWER_LEVELS:
         raise ValueError(f"--levels takes at most {MAX_TOWER_LEVELS}, got {levels}")
 
 
 def _cmd_verify(args) -> int:
     _require_trials(args.trials)
-    _require_levels(args.levels)
+    _require_levels(args.levels, suites.MIN_TOWER_LEVELS)
     options = suites.Options(seed=args.seed, trials=args.trials, length=args.length,
                              spread=args.spread, levels=args.levels,
                              max_steps=args.max_steps)
@@ -220,7 +222,7 @@ def _cmd_iterant_demo() -> int:
 def _cmd_matrix_decompose(args) -> int:
     try:
         data = json.loads(args.matrix)
-        rows = [[Scalar.rational(Fraction(str(x))) for x in row] for row in data]
+        rows = [[Fraction(str(x)) for x in row] for row in data]
     except (ValueError, TypeError) as exc:
         print(f"error: matrix argument must be JSON rows of rationals: {exc}",
               file=sys.stderr)
@@ -233,7 +235,7 @@ def _cmd_matrix_decompose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     dec = it.matrix_decompose(m)
-    terms = [{"diagonal": [v.to_text() for v in vec],
+    terms = [{"diagonal": list(map(text, vec)),
               "permutation": [p + 1 for p in perm]}
              for perm, vec in dec.terms()]
     obj = {"n": m.n, "terms": terms,

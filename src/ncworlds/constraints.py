@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .ncpoly import G, NcPoly, commutator
 from .quotient import ABC, Q, P, RewriteSystem, flat_with_functions, reduce_poly
-from .scalar import Scalar
+from .scalar import RatLike, Scalar, narrow
 from .sparse import SparseSum, add_into
 
 
@@ -31,7 +31,7 @@ def symmetrize(factors: Sequence[NcPoly]) -> NcPoly:
         raise ValueError("symmetrize needs at least one factor")
     n = len(factors)
     products = (reduce(mul, (factors[k] for k in order)) for order in permutations(range(n)))
-    return NcPoly.total(products) / Scalar.rational(factorial(n))
+    return NcPoly.total(products) / factorial(n)
 
 
 # -- second constraint -------------------------------------------------------
@@ -40,7 +40,7 @@ def second_constraint_residual(theta: NcPoly, h: NcPoly) -> NcPoly:
     """{T H H} - {{T H} H} - (1/12) [[T, H], H]; zero in the free algebra,
     so the symmetrized constraint is the commutator equation [[T,H],H] = 0."""
     lhs = symmetrize([theta, h, h]) - symmetrize([symmetrize([theta, h]), h])
-    return lhs - commutator(commutator(theta, h), h) / Scalar.rational(12)
+    return lhs - commutator(commutator(theta, h), h) / 12
 
 
 def requirement_form_residual(theta: NcPoly, h: NcPoly) -> NcPoly:
@@ -65,8 +65,8 @@ def symmetrizer_commutator_identity(system: RewriteSystem = ABC) -> AbcIdentity:
     a, b, c = NcPoly.gen("A"), NcPoly.gen("B"), NcPoly.gen("C")
     diff = symmetrize([a, b, c]) - symmetrize([a, symmetrize([b, c])])
     reduced = reduce_poly(diff, system)
-    display = (a * b * c - (a * c * b).scaled(2) + c * a * b) / Scalar.rational(12)
-    bracket = commutator(a, commutator(b, c)) / Scalar.rational(12)
+    display = (a * b * c - (a * c * b).scaled(2) + c * a * b) / 12
+    bracket = commutator(a, commutator(b, c)) / 12
     return AbcIdentity(
         reduced_difference=reduced,
         intermediate_residual=reduced - reduce_poly(display, system),
@@ -118,20 +118,17 @@ def third_constraint_check(theta: NcPoly, h: NcPoly, hdot: NcPoly,
     if ratio is None:
         ratio_residual = diff
     else:
-        ratio_residual = diff - target.scaled(Scalar.rational(ratio))
+        ratio_residual = diff - target.scaled(ratio)
     return ThirdConstraint(exp1, exp2, ratio, ratio_residual)
 
 
 def _match_ratio(diff: NcPoly, target: NcPoly) -> Fraction | None:
-    """Solve diff = c * target from the first common word, if any."""
+    """Solve diff = c * target from the first word where both coefficients
+    are nonzero rational constants, if any."""
     for w, c in target.terms():
-        d = diff.coeff(w)
-        ct = list(c.terms())
-        dt = list(d.terms())
-        if len(ct) == 1 and len(dt) == 1 and ct[0][0] == () and dt[0][0] == ():
-            (re_t, im_t), (re_d, im_d) = ct[0][1], dt[0][1]
-            if im_t == 0 and im_d == 0 and re_t != 0:
-                return re_d / re_t
+        c, d = narrow(c), narrow(diff.coeff(w))
+        if d and not isinstance(c, Scalar) and not isinstance(d, Scalar):
+            return Fraction(d) / c
     return None
 
 
@@ -169,7 +166,7 @@ def quadratic_hamiltonian(n: int) -> NcPoly:
         return g * P(i) * P(j) + P(i) * P(j) * g
 
     pairs = range(1, n + 1)
-    return NcPoly.total(term(i, j) for i in pairs for j in pairs) / Scalar.rational(4)
+    return NcPoly.total(term(i, j) for i in pairs for j in pairs) / 4
 
 
 def first_constraint_residual(n: int, max_steps: int | None = None) -> NcPoly:
@@ -206,15 +203,15 @@ class CPoly(SparseSum):
     __slots__ = ()
 
     @staticmethod
-    def monomial(syms: Iterable[CSym], coeff: Fraction | int = 1) -> "CPoly":
-        return CPoly({tuple(sorted(syms)): Fraction(coeff)})
+    def monomial(syms: Iterable[CSym], coeff: RatLike = 1) -> "CPoly":
+        return CPoly({tuple(sorted(syms)): narrow(coeff)})
 
-    def coeff(self, syms: Iterable[CSym]) -> Fraction:
-        return self._terms.get(tuple(sorted(syms)), Fraction(0))
+    def coeff(self, syms: Iterable[CSym]) -> RatLike:
+        return self._terms.get(tuple(sorted(syms)), 0)
 
     def derive(self) -> "CPoly":
         """Leibniz derivation with d theta = h theta and d h^(k) = h^(k+1)."""
-        terms: dict[CMonomial, Fraction] = {}
+        terms: dict[CMonomial, RatLike] = {}
         for m, c in self._terms.items():
             for pos, sym in enumerate(m):
                 rest = m[:pos] + m[pos + 1:]
@@ -226,8 +223,8 @@ class CPoly(SparseSum):
                 add_into(terms, tuple(sorted(grown)), c)
         return self._like(terms)
 
-    def coefficient_sum(self) -> Fraction:
-        return sum(self._terms.values(), Fraction(0))
+    def coefficient_sum(self) -> RatLike:
+        return sum(self._terms.values())
 
     def to_text(self) -> str:
         if not self._terms:
@@ -289,14 +286,14 @@ def derivative_tower(levels: int) -> list[TowerLevel]:
     return out
 
 
-def hprime_coefficient(level: TowerLevel) -> Fraction:
+def hprime_coefficient(level: TowerLevel) -> RatLike:
     """Coefficient of h^(n-2) theta h' at level n."""
     n = level.level
     syms = (hsym(0),) * (n - 2) + (THETA, hsym(1))
     return level.polynomial.coeff(syms)
 
 
-def hprime2_coefficient(level: TowerLevel) -> Fraction:
+def hprime2_coefficient(level: TowerLevel) -> RatLike:
     """Coefficient of h^(n-4) theta h'^2 at level n."""
     n = level.level
     syms = (hsym(0),) * (n - 4) + (THETA, hsym(1), hsym(1))
@@ -319,7 +316,7 @@ def symmetrized_level(poly_or_level: "CPoly | TowerLevel", theta: NcPoly,
                       h_derivs: Sequence[NcPoly]) -> NcPoly:
     """Operator image of a classical level: symmetrize each monomial."""
     cpoly = poly_or_level.polynomial if isinstance(poly_or_level, TowerLevel) else poly_or_level
-    return NcPoly.total(symmetrize(_factor_polys(m, theta, h_derivs)).scaled(Scalar.rational(c))
+    return NcPoly.total(symmetrize(_factor_polys(m, theta, h_derivs)).scaled(c)
                         for m, c in cpoly.terms())
 
 
@@ -342,5 +339,5 @@ def symmetrized_level_dot(poly_or_level: "CPoly | TowerLevel", theta: NcPoly,
             factors.append(h_derivs[k + 1])
         return symmetrize(factors)
 
-    return NcPoly.total(dotted(m, pos).scaled(Scalar.rational(c))
+    return NcPoly.total(dotted(m, pos).scaled(c)
                         for m, c in cpoly.terms() for pos in range(len(m)))

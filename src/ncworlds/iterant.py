@@ -6,7 +6,8 @@ past a diagonal permutes the diagonal's entries. Order 2 recovers the
 two-component oscillation algebra (the shift eta, the polarity sigma, the
 square root of minus one); in general the algebra is isomorphic to full
 n x n matrix algebra, and any square matrix splits into permutation-scaled
-diagonals with a 1/(n-1)! factor.
+diagonals with a 1/(n-1)! factor. Diagonal and matrix entries are
+``int | Fraction | Scalar`` by the storage rule of ``ncworlds.scalar``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, Sequence
 
-from .scalar import RatLike, Scalar
+from .scalar import Coeff, Scalar, narrow, reciprocal, text
 from .sparse import SparseSum, add_into
 
 # Permutations in one-line notation, zero-based: perm[i] is where row i looks.
@@ -25,7 +26,7 @@ Perm = tuple[int, ...]
 
 
 class Diagonal(tuple):
-    """Diagonal vector of scalars, the coefficient of one permutation: ``+``
+    """Diagonal vector of coefficients, the coefficient of one permutation: ``+``
     and unary ``-`` act entrywise and an all-zero vector is false."""
 
     __slots__ = ()
@@ -49,13 +50,9 @@ def compose(p1: Perm, p2: Perm) -> Perm:
     return tuple(p2[p1[i]] for i in range(len(p1)))
 
 
-def permute(v: Sequence[Scalar], p: Perm) -> tuple[Scalar, ...]:
+def permute(v: Sequence[Coeff], p: Perm) -> tuple[Coeff, ...]:
     """The action written v^p: component i becomes v[p[i]]."""
     return tuple(v[p[i]] for i in range(len(p)))
-
-
-def _coerce_vector(values: Sequence[Scalar | RatLike]) -> tuple[Scalar, ...]:
-    return tuple(Scalar.coerce(v) for v in values)
 
 
 class IterantElement(SparseSum):
@@ -63,7 +60,7 @@ class IterantElement(SparseSum):
 
     __slots__ = ("order",)
 
-    def __init__(self, order: int, terms: Mapping[Perm, Sequence[Scalar]] | None = None):
+    def __init__(self, order: int, terms: Mapping[Perm, Sequence[Coeff]] | None = None):
         if order < 1:
             raise ValueError("iterant order must be positive")
         self.order = order
@@ -73,7 +70,7 @@ class IterantElement(SparseSum):
                 raise ValueError("length mismatch with iterant order")
             if sorted(p) != list(range(order)):
                 raise ValueError(f"not a permutation of 0..{order - 1}: {p}")
-        super().__init__({p: Diagonal(v) for p, v in terms.items()})
+        super().__init__({p: Diagonal(map(narrow, v)) for p, v in terms.items()})
 
     def _like(self, terms: dict) -> "IterantElement":
         out = super()._like(terms)
@@ -83,27 +80,24 @@ class IterantElement(SparseSum):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def diagonal(values: Sequence[Scalar | RatLike]) -> "IterantElement":
-        vec = _coerce_vector(values)
-        return IterantElement(len(vec), {identity_perm(len(vec)): vec})
+    def diagonal(values: Sequence[Coeff]) -> "IterantElement":
+        return IterantElement(len(values), {identity_perm(len(values)): values})
 
     @staticmethod
     def permutation(p: Sequence[int]) -> "IterantElement":
         p = tuple(p)
-        ones = tuple(Scalar.one() for _ in p)
-        return IterantElement(len(p), {p: ones})
+        return IterantElement(len(p), {p: (1,) * len(p)})
 
     @staticmethod
-    def scalar(order: int, s: Scalar | RatLike) -> "IterantElement":
-        s = Scalar.coerce(s)
-        return IterantElement(order, {identity_perm(order): tuple(s for _ in range(order))})
+    def scalar(order: int, s: Coeff) -> "IterantElement":
+        return IterantElement(order, {identity_perm(order): (s,) * order})
 
     @staticmethod
     def zero(order: int) -> "IterantElement":
         return IterantElement(order)
 
     @staticmethod
-    def pair(a: Sequence[Scalar | RatLike], b: Sequence[Scalar | RatLike]) -> "IterantElement":
+    def pair(a: Sequence[Coeff], b: Sequence[Coeff]) -> "IterantElement":
         """Order-2 element A + B.eta from two value pairs."""
         return IterantElement.diagonal(a) + IterantElement.diagonal(b) * eta()
 
@@ -113,9 +107,9 @@ class IterantElement(SparseSum):
         if self.order != other.order:
             raise ValueError(f"iterant order mismatch: {self.order} vs {other.order}")
 
-    def __mul__(self, other: "IterantElement | Scalar | RatLike") -> "IterantElement":
+    def __mul__(self, other: "IterantElement | Coeff") -> "IterantElement":
         if not isinstance(other, IterantElement):
-            s = Scalar.coerce(other)
+            s = narrow(other)
             return IterantElement(
                 self.order, {p: tuple(x * s for x in v) for p, v in self._terms.items()}
             )
@@ -128,7 +122,7 @@ class IterantElement(SparseSum):
                 add_into(terms, compose(p1, p2), prod)
         return self._like(terms)
 
-    def __rmul__(self, other: "Scalar | RatLike") -> "IterantElement":
+    def __rmul__(self, other: Coeff) -> "IterantElement":
         return self * other
 
     def __pow__(self, n: int) -> "IterantElement":
@@ -162,18 +156,18 @@ class IterantElement(SparseSum):
 
     def to_matrix(self) -> "Matrix":
         n = self.order
-        rows = [[Scalar.zero() for _ in range(n)] for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for p, v in self._terms.items():
             for i in range(n):
-                rows[i][p[i]] = rows[i][p[i]] + v[i]
-        return Matrix(tuple(tuple(r) for r in rows))
+                rows[i][p[i]] += v[i]
+        return Matrix(rows)
 
     def to_text(self) -> str:
         if not self._terms:
             return "0"
         parts = []
         for p, v in self.terms():
-            vec = "[" + ", ".join(x.to_text() for x in v) + "]"
+            vec = "[" + ", ".join(map(text, v)) + "]"
             ptxt = "(" + " ".join(str(i + 1) for i in p) + ")"
             parts.append(f"{vec}{ptxt}")
         return " + ".join(parts)
@@ -189,10 +183,7 @@ def eta(n: int = 2) -> IterantElement:
 
 
 def epsilon_iterant() -> IterantElement:
-    return IterantElement.diagonal([-1, 1])
-
-
-def sigma_iterant() -> IterantElement:
+    """The polarity [-1, 1], written epsilon or sigma."""
     return IterantElement.diagonal([-1, 1])
 
 
@@ -202,15 +193,15 @@ def imaginary_iterant() -> IterantElement:
 
 
 class Matrix:
-    """Dense square matrix of exact scalars."""
+    """Dense square matrix of exact coefficients."""
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: Sequence[Sequence[Scalar | RatLike]]):
+    def __init__(self, rows: Sequence[Sequence[Coeff]]):
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        self.rows = tuple(tuple(Scalar.coerce(x) for x in r) for r in rows)
+        self.rows = tuple(tuple(map(narrow, r)) for r in rows)
 
     @property
     def n(self) -> int:
@@ -226,8 +217,7 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         n = self.n
         return Matrix([
-            [sum((self.rows[i][k] * other.rows[k][j] for k in range(n)), Scalar.zero())
-             for j in range(n)]
+            [sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)
         ])
 
@@ -240,7 +230,7 @@ class Matrix:
         return hash(self.rows)
 
     def to_text(self) -> str:
-        return "; ".join(", ".join(x.to_text() for x in r) for r in self.rows)
+        return "; ".join(", ".join(map(text, r)) for r in self.rows)
 
     def __repr__(self) -> str:
         return f"Matrix({self.to_text()})"
@@ -256,8 +246,8 @@ def matrix_decompose(m: Matrix) -> IterantElement:
     n = m.n
     if n < 1:
         raise ValueError("empty matrix")
-    factor = Scalar.rational(1, math.factorial(n - 1))
-    terms: dict[Perm, tuple[Scalar, ...]] = {}
+    factor = reciprocal(math.factorial(n - 1))
+    terms: dict[Perm, tuple[Coeff, ...]] = {}
     for p in permutations(range(n)):
         vec = tuple(m.rows[i][p[i]] * factor for i in range(n))
         terms[p] = vec

@@ -1,8 +1,9 @@
 """Free non-commutative polynomial algebra over the exact scalar ring.
 
 Elements are canonical finite maps from words (tuples of generators) to
-scalars; no zero coefficient is ever stored, so structural equality is
-equality in the free algebra. Every derivative in this world is a
+coefficients, ``int | Fraction | Scalar`` by the storage rule of
+``ncworlds.scalar``; no zero coefficient is ever stored, so structural
+equality is equality in the free algebra. Every derivative in this world is a
 commutator map ``f -> [f, n]``.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .scalar import RatLike, Scalar
+from .scalar import Coeff, narrow, reciprocal, text
 from .sparse import SparseSum, add_into
 
 
@@ -55,7 +56,7 @@ def _word_key(w: Word):
 
 
 class NcPoly(SparseSum):
-    """Canonical element of the free algebra: finite map word -> scalar."""
+    """Canonical element of the free algebra: finite map word -> coefficient."""
 
     __slots__ = ()
 
@@ -67,41 +68,41 @@ class NcPoly(SparseSum):
 
     @staticmethod
     def one() -> "NcPoly":
-        return NcPoly({EMPTY_WORD: Scalar.one()})
+        return NcPoly({EMPTY_WORD: 1})
 
     @staticmethod
-    def from_scalar(s: Scalar | RatLike) -> "NcPoly":
-        return NcPoly({EMPTY_WORD: Scalar.coerce(s)})
+    def from_scalar(s: Coeff) -> "NcPoly":
+        return NcPoly({EMPTY_WORD: narrow(s)})
 
     @staticmethod
-    def from_word(w: Word, coeff: Scalar | RatLike = 1) -> "NcPoly":
-        return NcPoly({w: Scalar.coerce(coeff)})
+    def from_word(w: Word, coeff: Coeff = 1) -> "NcPoly":
+        return NcPoly({w: narrow(coeff)})
 
     @staticmethod
     def gen(name: str, *indices: int, derivs: tuple[int, ...] = (), primes: int = 0) -> "NcPoly":
         g = Generator(name, tuple(indices), derivs, primes)
-        return NcPoly({(g,): Scalar.one()})
+        return NcPoly({(g,): 1})
 
     # -- ring operations ---------------------------------------------------
 
-    def __mul__(self, other: "NcPoly | Scalar | RatLike") -> "NcPoly":
+    def __mul__(self, other: "NcPoly | Coeff") -> "NcPoly":
         if not isinstance(other, NcPoly):
             return self.scaled(other)
-        terms: dict[Word, Scalar] = {}
+        terms: dict[Word, Coeff] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
                 add_into(terms, w1 + w2, c1 * c2)
         return self._like(terms)
 
-    def __rmul__(self, other: "Scalar | RatLike") -> "NcPoly":
+    def __rmul__(self, other: Coeff) -> "NcPoly":
         return self.scaled(other)
 
-    def scaled(self, s: Scalar | RatLike) -> "NcPoly":
-        s = Scalar.coerce(s)
+    def scaled(self, s: Coeff) -> "NcPoly":
+        s = narrow(s)
         return NcPoly({w: c * s for w, c in self._terms.items()})
 
-    def __truediv__(self, s: Scalar | RatLike) -> "NcPoly":
-        return self.scaled(Scalar.coerce(s).inverse())
+    def __truediv__(self, s: Coeff) -> "NcPoly":
+        return self.scaled(reciprocal(s))
 
     def __pow__(self, n: int) -> "NcPoly":
         out = NcPoly.one()
@@ -111,12 +112,12 @@ class NcPoly(SparseSum):
 
     # -- structure ---------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[Word, Scalar]]:
+    def terms(self) -> Iterator[tuple[Word, Coeff]]:
         """Terms in graded lexicographic word order."""
         return iter(sorted(self._terms.items(), key=lambda t: _word_key(t[0])))
 
-    def coeff(self, w: Word) -> Scalar:
-        return self._terms.get(w, Scalar.zero())
+    def coeff(self, w: Word) -> Coeff:
+        return self._terms.get(w, 0)
 
     def degree(self) -> int:
         return max((len(w) for w in self._terms), default=0)
@@ -131,10 +132,10 @@ class NcPoly(SparseSum):
             return "0"
         parts = []
         for w, c in self.terms():
-            ctxt = c.to_text()
+            ctxt = text(c)
             if not w:
                 parts.append(ctxt if _is_plain(ctxt) else f"({ctxt})")
-            elif c.is_one():
+            elif c == 1:
                 parts.append(word_text(w))
             else:
                 parts.append(f"({ctxt}) {word_text(w)}")
@@ -148,7 +149,7 @@ def _is_plain(ctxt: str) -> bool:
     return " " not in ctxt and not ctxt.startswith("-")
 
 
-def scale(s: Scalar | RatLike, a: NcPoly) -> NcPoly:
+def scale(s: Coeff, a: NcPoly) -> NcPoly:
     return a.scaled(s)
 
 

@@ -357,7 +357,7 @@ def evaluate(e, system: RewriteSystem | None = None,
 
 def _eval(e) -> NcPoly:
     if isinstance(e, Num):
-        return NcPoly.from_scalar(Scalar.rational(e.value))
+        return NcPoly.from_scalar(e.value)
     if isinstance(e, ImagUnit):
         return NcPoly.from_scalar(Scalar.imag_unit())
     if isinstance(e, Param):

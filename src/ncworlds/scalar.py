@@ -10,6 +10,15 @@ it is built from the algebra itself, and not a second coefficient slot.
 module sees the key encoding. Nothing here ever rounds: all arithmetic is
 exact, and division is supported whenever the divisor is a Gaussian rational
 times one monomial.
+
+This module also holds the storage rule that every element type follows for
+its coefficients (``Coeff``): a rational constant is stored as a plain
+``int``, or as a ``Fraction`` when its denominator is not 1, and a value is
+a ``Scalar`` only when it carries a parameter or ``i``. ``narrow`` applies
+the rule, ``text`` prints a stored coefficient and ``reciprocal`` inverts
+one. The kinds mix through Python's operators, and arithmetic keeps what
+they return, so a product such as ``hbar * hbar^-1`` stays the ``Scalar``
+1; it equals and hashes like the number 1.
 """
 
 from __future__ import annotations
@@ -96,11 +105,6 @@ class Scalar(SparseSum):
     @staticmethod
     def coerce(value: "Scalar | RatLike") -> "Scalar":
         return value if isinstance(value, Scalar) else Scalar.rational(value)
-
-    # -- predicates --------------------------------------------------------
-
-    def is_one(self) -> bool:
-        return self._terms == {(_EMPTY, 0): 1}
 
     # -- ring operations ---------------------------------------------------
 
@@ -240,6 +244,9 @@ def _term_text(mono: Monomial, re: Fraction, im: Fraction) -> str:
 # The operand types that arithmetic accepts; anything else is NotImplemented.
 _EXACT = (Scalar, int, Fraction)
 
+# A stored coefficient of any element type, by the rule in the module docstring.
+Coeff = Union[RatLike, Scalar]
+
 
 def _fraction(value: RatLike) -> Fraction:
     if isinstance(value, (int, Fraction)):
@@ -247,7 +254,7 @@ def _fraction(value: RatLike) -> Fraction:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def narrow(value: "Scalar | RatLike") -> "Scalar | int | Fraction":
+def narrow(value: Coeff) -> Coeff:
     """A rational constant as a plain ``int``, or a ``Fraction`` when its
     denominator is not 1; any other scalar unchanged."""
     if isinstance(value, Scalar):
@@ -262,6 +269,12 @@ def narrow(value: "Scalar | RatLike") -> "Scalar | int | Fraction":
     return int(value) if value.denominator == 1 else value
 
 
-ZERO = Scalar.zero()
-ONE = Scalar.one()
-I = Scalar.imag_unit()
+def text(value: Coeff) -> str:
+    """The canonical text of a stored coefficient."""
+    return value.to_text() if isinstance(value, Scalar) else str(value)
+
+
+def reciprocal(value: Coeff) -> Coeff:
+    """The exact inverse of a coefficient, stored by the same rule; a plain
+    number is inverted as a ``Fraction``, since ``1 / n`` would be a float."""
+    return narrow(value.inverse() if isinstance(value, Scalar) else 1 / _fraction(value))

@@ -1,24 +1,23 @@
 """Shift-operator calculus on finite time series.
 
-A sequence holds exact values on an integer index window. A value that is a
-rational constant is stored as a plain ``int``, or as a ``Fraction`` when
-its denominator is not 1, so integer series run on machine integers; any
-other value (one with a parameter or the imaginary unit) stays a ``Scalar``.
-The two kinds mix through Python's operators. The skew algebra
-adjoins a shift J with f.J = J.f1, where f1 is f advanced one tick; every
-application of J shrinks the valid window by one on the right. Elements are
-finite sums J^k . sequence, multiplied by the skew rule, and the adjusted
-derivative nabla(f) = J(f1 - f)/dt satisfies the Leibniz rule exactly while
-the raw difference operator does not.
+A sequence holds exact values on an integer index window, stored by the
+coefficient rule of ``ncworlds.scalar``: a rational constant as a plain
+``int`` or ``Fraction``, so integer series run on machine integers, and
+only a value with a parameter or the imaginary unit as a ``Scalar``. The
+skew algebra adjoins a shift J with f.J = J.f1, where f1 is f advanced one
+tick; every application of J shrinks the valid window by one on the right.
+Elements are finite sums J^k . sequence, multiplied by the skew rule, and
+the adjusted derivative nabla(f) = J(f1 - f)/dt satisfies the Leibniz rule
+exactly while the raw difference operator does not.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence as Seq, Union
+from typing import Callable, Iterator, Mapping, Sequence as Seq
 
-from .scalar import RatLike, Scalar, narrow
+from .scalar import Coeff, Scalar, narrow, reciprocal, text
 from .sparse import SparseSum, add_into
 
 
@@ -26,22 +25,16 @@ class WindowError(RuntimeError):
     """An operation ran out of valid window."""
 
 
-# A stored value: a plain rational constant or a Scalar.
-Value = Union[RatLike, Scalar]
-
-
 class Sequence:
     """Finite run of exact values; values[t - start] is the value at time t.
 
     ``values`` and ``at`` give ``int | Fraction | Scalar``: the constructor
-    stores a rational constant as a plain ``int`` or ``Fraction`` (see
-    ``scalar.narrow``) and any other value as a ``Scalar``. Arithmetic
-    keeps whatever Python's operators return, so a product such as
-    ``hbar * hbar^-1`` stays the ``Scalar`` 1; it equals and hashes like 1."""
+    applies ``scalar.narrow``, and arithmetic keeps whatever Python's
+    operators return."""
 
     __slots__ = ("start", "values")
 
-    def __init__(self, values: Seq[Scalar | RatLike], start: int = 0):
+    def __init__(self, values: Seq[Coeff], start: int = 0):
         self.values = tuple(map(narrow, values))
         self.start = start
         if not self.values:
@@ -60,7 +53,7 @@ class Sequence:
         """Last valid index, inclusive."""
         return self.start + len(self.values) - 1
 
-    def at(self, t: int) -> Value:
+    def at(self, t: int) -> Coeff:
         if not self.start <= t <= self.end:
             raise WindowError(f"index {t} outside window [{self.start}, {self.end}]")
         return self.values[t - self.start]
@@ -75,7 +68,7 @@ class Sequence:
             raise WindowError(f"window exhausted shifting by {b}")
         return Sequence._of(self.values[b:], self.start)
 
-    def _zip(self, other: "Sequence", op: Callable[[Value, Value], Value]) -> "Sequence":
+    def _zip(self, other: "Sequence", op: Callable[[Coeff, Coeff], Coeff]) -> "Sequence":
         """``op`` pointwise on the common window."""
         lo = max(self.start, other.start)
         values = tuple(map(op, self.values[lo - self.start:], other.values[lo - other.start:]))
@@ -89,13 +82,13 @@ class Sequence:
     def __sub__(self, other: "Sequence") -> "Sequence":
         return self._zip(other, operator.sub)
 
-    def __mul__(self, other: "Sequence | Scalar | RatLike") -> "Sequence":
+    def __mul__(self, other: "Sequence | Coeff") -> "Sequence":
         if isinstance(other, Sequence):
             return self._zip(other, operator.mul)
         s = narrow(other)
         return Sequence._of(tuple([v * s for v in self.values]), self.start)
 
-    def __rmul__(self, other: "Scalar | RatLike") -> "Sequence":
+    def __rmul__(self, other: Coeff) -> "Sequence":
         return self * other
 
     def __neg__(self) -> "Sequence":
@@ -123,8 +116,7 @@ class Sequence:
         return len(self.values)
 
     def to_text(self) -> str:
-        body = ", ".join(v.to_text() if isinstance(v, Scalar) else str(v)
-                         for v in self.values)
+        body = ", ".join(map(text, self.values))
         return f"({body})@{self.start}"
 
     def __repr__(self) -> str:
@@ -136,7 +128,7 @@ def delta(f: Sequence) -> Sequence:
     return f.shift(1) - f
 
 
-def constant(value: Scalar | RatLike, start: int, length: int) -> Sequence:
+def constant(value: Coeff, start: int, length: int) -> Sequence:
     return Sequence([value] * length, start)
 
 
@@ -169,10 +161,9 @@ class SkewElement(SparseSum):
     def zero() -> "SkewElement":
         return SkewElement()
 
-    def __mul__(self, other: "SkewElement | Scalar | RatLike") -> "SkewElement":
+    def __mul__(self, other: "SkewElement | Coeff") -> "SkewElement":
         if not isinstance(other, SkewElement):
-            s = Scalar.coerce(other)
-            return self._like({k: f * s for k, f in self._terms.items()})
+            return self._like({k: f * other for k, f in self._terms.items()})
         terms: dict[int, Sequence] = {}
         for a, f in self._terms.items():
             for b, g in other._terms.items():
@@ -180,7 +171,7 @@ class SkewElement(SparseSum):
                 add_into(terms, a + b, f.shift(b) * g)
         return self._like(terms)
 
-    def __rmul__(self, other: "Scalar | RatLike") -> "SkewElement":
+    def __rmul__(self, other: Coeff) -> "SkewElement":
         return self * other
 
     def __eq__(self, other: object) -> bool:
@@ -216,14 +207,14 @@ def commutator(a: SkewElement, b: SkewElement) -> SkewElement:
     return a * b - b * a
 
 
-def nabla(f: "Sequence | SkewElement", dt: Scalar | RatLike = 1) -> SkewElement:
+def nabla(f: "Sequence | SkewElement", dt: Coeff = 1) -> SkewElement:
     """The adjusted derivative [f, J]/dt = J (f1 - f)/dt."""
     f = as_skew(f)
-    inv_dt = Scalar.coerce(dt).inverse()
+    inv_dt = reciprocal(dt)
     return SkewElement({k + 1: delta(seq) * inv_dt for k, seq in f.terms()})
 
 
-def position_velocity_commutator(x: Sequence, dt: Scalar | RatLike = 1) -> SkewElement:
+def position_velocity_commutator(x: Sequence, dt: Coeff = 1) -> SkewElement:
     """[x, nabla x]; pointwise equal to J (delta x)^2 / dt."""
     xs = as_skew(x)
     return commutator(xs, nabla(x, dt))
@@ -316,7 +307,7 @@ def partial_spatial(f: SkewElement, xdot: Vec3, i: int) -> SkewElement:
     return commutator(f, xdot.comp(i))
 
 
-def partial_t(f: SkewElement, xdot: Vec3, dt: Scalar | RatLike = 1) -> SkewElement:
+def partial_t(f: SkewElement, xdot: Vec3, dt: Coeff = 1) -> SkewElement:
     """Temporal derivative: nabla f - sum_i xdot_i [f, xdot_i].
 
     Unlike the commutator derivations this one is not Leibniz; it obeys the
@@ -327,7 +318,7 @@ def partial_t(f: SkewElement, xdot: Vec3, dt: Scalar | RatLike = 1) -> SkewEleme
     return out
 
 
-def partial_t_vec(f: Vec3, xdot: Vec3, dt: Scalar | RatLike = 1) -> Vec3:
+def partial_t_vec(f: Vec3, xdot: Vec3, dt: Coeff = 1) -> Vec3:
     return f.map(lambda comp: partial_t(comp, xdot, dt))
 
 
@@ -344,7 +335,7 @@ def laplacian(f: SkewElement, xdot: Vec3) -> SkewElement:
                              for i in (1, 2, 3))
 
 
-def em_fields(x: Vec3, dt: Scalar | RatLike = 1) -> tuple[Vec3, Vec3, Vec3]:
+def em_fields(x: Vec3, dt: Coeff = 1) -> tuple[Vec3, Vec3, Vec3]:
     """Velocity, electric and magnetic parts of a coordinate triple:
     xdot = nabla x, e = partial_t(xdot), b = xdot x xdot."""
     xdot = x.map(lambda f: nabla(f, dt))
@@ -365,7 +356,7 @@ class EmResiduals:
                 and self.faraday.is_zero() and self.ampere.is_zero())
 
 
-def em_theorem_residuals(x: Vec3, dt: Scalar | RatLike = 1) -> tuple[EmResiduals, Vec3]:
+def em_theorem_residuals(x: Vec3, dt: Coeff = 1) -> tuple[EmResiduals, Vec3]:
     """Exact residuals of the four field equations; returns (residuals, b)."""
     xdot, e, b = em_fields(x, dt)
     xddot = xdot.map(lambda f: nabla(f, dt))
@@ -381,7 +372,7 @@ def em_theorem_residuals(x: Vec3, dt: Scalar | RatLike = 1) -> tuple[EmResiduals
 
 
 def modified_leibniz_residual(f: SkewElement, g: SkewElement, x: Vec3,
-                              dt: Scalar | RatLike = 1) -> SkewElement:
+                              dt: Coeff = 1) -> SkewElement:
     """partial_t(fg) - partial_t(f) g - f partial_t(g) - sum_i d_i(f) d_i(g),
     with the derivatives built from the velocity of the coordinate triple x."""
     xdot = x.map(lambda comp: nabla(comp, dt))

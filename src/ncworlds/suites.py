@@ -75,13 +75,17 @@ class SuiteReport:
         }
 
 
+# the tower suite reads the h'^2 series up to level 12
+MIN_TOWER_LEVELS = 12
+
+
 @dataclass
 class Options:
     seed: int = 0
     trials: int = 100
     length: int = 12
     spread: int = 3
-    levels: int = 12
+    levels: int = MIN_TOWER_LEVELS
     max_steps: int | None = None
 
 
@@ -166,11 +170,10 @@ def suite_iterant(opt: Options) -> SuiteReport:
 
     def shift_relations():
         a, b, c, d = (Scalar.param(n) for n in "abcd")
-        sigma = it.sigma_iterant()
         ab = it.IterantElement.diagonal([a, b])
         cd = it.IterantElement.diagonal([c, d])
         ok = (eta * eta == one
-              and sigma * sigma == one
+              and eps * eps == one   # the polarity sigma is eps = [-1, 1]
               and eps.bar() == -eps
               and eta * ab == ab.bar() * eta
               and ab * cd == it.IterantElement.diagonal([a * c, b * d]))
@@ -204,8 +207,7 @@ def suite_iterant(opt: Options) -> SuiteReport:
                        [sym["d"], sym["e"], sym["f"]],
                        [sym["g"], sym["h"], sym["k"]]])
         dec = it.matrix_decompose(m)
-        half = Scalar.rational(1, 2)
-        zero = Scalar.zero()
+        half = Fraction(1, 2)
         expected = {
             (0, 1, 2): (sym["a"], sym["e"], sym["k"]),
             (1, 2, 0): (sym["b"], sym["f"], sym["g"]),
@@ -243,8 +245,7 @@ def suite_iterant(opt: Options) -> SuiteReport:
                 def rand_el():
                     terms = {}
                     for p in rng.sample(perms, k=rng.randint(1, len(perms))):
-                        terms[p] = tuple(Scalar.rational(rng.randint(-3, 3))
-                                         for _ in range(n))
+                        terms[p] = tuple(rng.randint(-3, 3) for _ in range(n))
                     return it.IterantElement(n, terms)
                 x, y = rand_el(), rand_el()
                 if (x * y).to_matrix() != x.to_matrix() * y.to_matrix():
@@ -266,7 +267,7 @@ def suite_iterant(opt: Options) -> SuiteReport:
         ident = (0, 1)
         if set(det_terms) - {ident}:
             return False, prod.to_text()
-        v = det_terms.get(ident, (Scalar.zero(), Scalar.zero()))
+        v = det_terms.get(ident, (0, 0))
         if v[0] != v[1]:
             return False, prod.to_text()
         m = el.to_matrix()
@@ -554,12 +555,12 @@ def suite_em(opt: Options) -> SuiteReport:
         alternating = sd.Sequence([t % 2 for t in range(opt.length)])
         comm = sd.position_velocity_commutator(alternating, 1)
         (power, seq), = comm.terms()
-        if power != 1 or not seq.is_constant() or seq.values[0] != Scalar.one():
+        if power != 1 or not seq.is_constant() or seq.values[0] != 1:
             return False, comm.to_text()
         linear = sd.Sequence([3 * t for t in range(opt.length)])
         comm = sd.position_velocity_commutator(linear, 1)
         (power, seq), = comm.terms()
-        if power != 1 or not seq.is_constant() or seq.values[0] != Scalar.rational(9):
+        if power != 1 or not seq.is_constant() or seq.values[0] != 9:
             return False, comm.to_text()
         uneven = sd.Sequence([0, 1, 3, 4, 6, 7, 9, 10])
         (power, seq), = sd.position_velocity_commutator(uneven, 1).terms()
@@ -576,7 +577,7 @@ def suite_em(opt: Options) -> SuiteReport:
         # the commutator is J k, the diffusion constant
         step = Scalar.param("s")
         tau = Scalar.param("tau")
-        values = [Scalar.zero()]
+        values = [0]
         for _ in range(opt.length - 1):
             sign = rng.choice((1, -1))
             values.append(values[-1] + step * sign)
@@ -831,8 +832,7 @@ def suite_constraints_3(opt: Options) -> SuiteReport:
 
 def suite_tower(opt: Options) -> SuiteReport:
     s = SuiteReport("tower", seed=opt.seed)
-    levels = max(opt.levels, 12)
-    tower = cn.derivative_tower(levels)
+    tower = cn.derivative_tower(opt.levels)
     h, t = cn.hsym, cn.THETA
 
     def displayed():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ncworlds import constraints
+from ncworlds import constraints, suites
 from ncworlds.cli import MAX_TOWER_LEVELS, main
 from ncworlds.parser import parse
 
@@ -204,3 +204,24 @@ def test_tower_levels_are_bounded(capsys, monkeypatch):
     assert asked == []
     code, _, _ = run(capsys, "tower", "--levels", str(MAX_TOWER_LEVELS), "--json")
     assert code == 0 and asked == [MAX_TOWER_LEVELS]
+
+
+@pytest.mark.parametrize("levels", ["11", "1", "0", "-3"])
+def test_verify_rejects_levels_below_the_tower_suite(capsys, monkeypatch, levels):
+    # refused before any suite runs, instead of silently running 12 levels
+    ran = []
+    monkeypatch.setattr(suites, "run_suite", lambda *args: ran.append(args) or [])
+    for suite in ("tower", "all", "flat"):
+        code, out, err = run(capsys, "verify", suite, "--levels", levels)
+        assert code == 2 and out == ""
+        assert f"at least {suites.MIN_TOWER_LEVELS}" in err and levels in err
+    assert ran == []
+
+
+def test_verify_tower_runs_the_levels_asked_for(capsys, monkeypatch):
+    asked = []
+    real = constraints.derivative_tower
+    monkeypatch.setattr(constraints, "derivative_tower",
+                        lambda n: asked.append(n) or real(n))
+    code, _, _ = run(capsys, "verify", "tower", "--levels", "13", "--json")
+    assert code == 0 and asked == [13]

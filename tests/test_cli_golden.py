@@ -48,6 +48,11 @@ GOLDEN = [
     (["em-sim", "--trials", "4", "--length", "16", "--range", "5", "--json"], 0, "dc5e693d2d2009e9a0823dd37d3a51c63cded786cc44678b7a8a7b3b24168fd8"),
     (["verify", "em", "--seed", "12", "--trials", "2", "--length", "12", "--json"], 0, "67f2b3ee57de64c08d9919f965ce616f0971148f0766d69532e11e681fda3382"),
     (["verify", "epsilon", "--seed", "13", "--length", "12", "--json"], 0, "5ccb22ef82944008e6d261217e92196f3ce488ea5eda5c0acff5749135894fae"),
+    (["reduce", "1/2 X Y - 3/4 Y X + hbar^-1 i X", "--json"], 0, "06508684fbb86d21fcad2d9964590c54f472755fa31e53250bfd9ec7df9c3835"),
+    (["reduce", "X - hbar hbar^-1 X"], 0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (["reduce", "hbar hbar^-1 X + X"], 0, "37085bba3c79eefd974f03d75ace6d304179db9ac852dd53d54b9062209684c5"),
+    (["matrix", "decompose", "[[\"1/2\", -3, 0], [2, \"5/3\", 6], [7, 8, -1]]"], 0, "ee960b1eadd195b397a432855750dbc67e587bc4abb0a47b0970efebfda1c51f"),
+    (["tower", "--levels", "20", "--json"], 0, "deda6ea58ae068c50676e0810882568c150697e54c822cddad50bc3791aa4a59"),
 ]
 
 

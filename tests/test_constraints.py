@@ -22,9 +22,8 @@ def words_of(poly):
     """Word -> Fraction map for polynomials with plain rational coefficients."""
     out = {}
     for w, c in poly.terms():
-        (mono, (re, im)), = c.terms()
-        assert mono == () and im == 0
-        out[tuple(g.name for g in w)] = re
+        assert isinstance(c, (int, Fraction))
+        out[tuple(g.name for g in w)] = c
     return out
 
 
@@ -298,3 +297,18 @@ def test_cpoly_text():
     assert tower[0].polynomial.to_text() == "h theta"
     assert tower[1].polynomial.to_text() == "h^2 theta + h' theta"
     assert "h'^2 theta" in tower[3].polynomial.to_text()
+
+
+def test_match_ratio_skips_missing_and_parameter_words():
+    from ncworlds.constraints import _match_ratio
+    a, b, c = NcPoly.gen("A"), NcPoly.gen("B"), NcPoly.gen("C")
+    hbar = Scalar.param("hbar")
+    # A is missing from diff and B carries a parameter: both are skipped
+    target = a + b + c.scaled(2)
+    diff = b.scaled(hbar) + c.scaled(Fraction(1, 3))
+    assert _match_ratio(diff, target) == Fraction(1, 6)
+    # a rational-constant Scalar counts as its number
+    three = a.scaled(hbar * 3) * NcPoly.from_scalar(hbar.inverse())
+    assert isinstance(three.coeff((G("A"),)), Scalar)
+    assert _match_ratio(three, a.scaled(4)) == Fraction(3, 4)
+    assert _match_ratio(b, a) is None

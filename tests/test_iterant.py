@@ -1,13 +1,15 @@
+import operator
 import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncworlds.iterant import (IterantElement, Matrix, boost_parameter,
                               epsilon_iterant, eta, imaginary_iterant,
                               lorentz_boost, matrix_decompose, quaternion_basis,
-                              quaternion_table, sigma_iterant)
+                              quaternion_table)
 from ncworlds.scalar import Scalar
 
 ONE = IterantElement.scalar(2, 1)
@@ -29,7 +31,7 @@ def test_componentwise_product():
 
 def test_shift_relations():
     assert eta() * eta() == ONE
-    assert sigma_iterant() * sigma_iterant() == ONE
+    assert epsilon_iterant() * epsilon_iterant() == ONE
     eps = epsilon_iterant()
     assert eps.bar() == -eps
     a, b = Scalar.param("a"), Scalar.param("b")
@@ -174,3 +176,90 @@ def test_lorentz_errors():
         boost_parameter(Fraction(1, 2))  # gamma irrational
     with pytest.raises(ValueError):
         boost_parameter(Fraction(7, 5))  # faster than light
+
+
+# -- mixed entry storage: plain rationals and Scalars -----------------------------
+
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+params = st.builds(lambda c, name, e: Scalar.param(name, e, c),
+                   fractions, st.sampled_from(("hbar", "tau")), st.integers(-2, 2))
+entries = st.one_of(st.integers(-4, 4), fractions, fractions.map(Scalar.rational),
+                    params, st.builds(operator.add, params, st.integers(-2, 2)))
+
+
+@st.composite
+def iterants(draw, order):
+    """(element, reference): the reference maps each permutation to its
+    diagonal as Scalars, built term by term with ``Scalar.coerce``."""
+    perms = draw(st.lists(st.permutations(range(order)).map(tuple),
+                          max_size=3, unique=True))
+    terms = {p: draw(st.lists(entries, min_size=order, max_size=order)) for p in perms}
+    ref = {p: tuple(map(Scalar.coerce, v)) for p, v in terms.items()}
+    return IterantElement(order, terms), {p: v for p, v in ref.items() if any(v)}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for p, v in b.items():
+        old = out.get(p, (Scalar.zero(),) * len(v))
+        out[p] = tuple(x + y * sign for x, y in zip(old, v))
+    return {p: v for p, v in out.items() if any(v)}
+
+
+def ref_mul(a, b):
+    # (v1 [p1])(v2 [p2]) = (v1 * v2^p1) [p1 p2], written out entry by entry
+    out = {}
+    for p1, v1 in a.items():
+        for p2, v2 in b.items():
+            n = len(p1)
+            p = tuple(p2[p1[i]] for i in range(n))
+            prod = tuple(v1[i] * v2[p1[i]] for i in range(n))
+            out = ref_add(out, {p: prod})
+    return out
+
+
+def ref_scaled(a, k):
+    return {p: tuple(x * k for x in v) for p, v in a.items() if any(x * k for x in v)}
+
+
+def matches(el, ref):
+    """``el`` holds the Scalars of ``ref``, prints like them and stores every
+    entry as an int, a Fraction or a Scalar."""
+    assert dict(el.terms()) == ref
+    assert all(type(x) in (int, Fraction, Scalar) for _, v in el.terms() for x in v)
+    want = " + ".join("[" + ", ".join(x.to_text() for x in v) + "]("
+                      + " ".join(str(i + 1) for i in p) + ")"
+                      for p, v in sorted(ref.items())) or "0"
+    assert el.to_text() == want
+    return True
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(iterants(n), iterants(n))), entries)
+def test_mixed_entry_arithmetic_matches_scalar_reference(pair, k):
+    (a, ra), (b, rb) = pair
+    assert matches(a, ra) and matches(b, rb)
+    assert matches(a + b, ref_add(ra, rb))
+    assert matches(a - b, ref_add(ra, rb, -1))
+    assert matches(a * b, ref_mul(ra, rb))
+    assert matches(a * k, ref_scaled(ra, Scalar.coerce(k)))
+    assert matches(k * a, ref_scaled(ra, Scalar.coerce(k)))
+    assert a.to_matrix() * b.to_matrix() == (a * b).to_matrix()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(iterants(n), iterants(n), iterants(n))))
+def test_mixed_entry_ring_axioms(triple):
+    (a, _), (b, _), (c, _) = triple
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+
+
+def test_decomposition_divides_exactly():
+    for n in (2, 3, 4):
+        m = Matrix([[i * n + j + 1 for j in range(n)] for i in range(n)])
+        dec = matrix_decompose(m)
+        assert all(type(x) in (int, Fraction) for _, v in dec.terms() for x in v)
+        assert all(type(x) is int for r in dec.to_matrix().rows for x in r)
+        assert dec.to_matrix() == m

@@ -1,8 +1,14 @@
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncworlds.ncpoly import G, NcPoly, commutator, derivation, scale
+from ncworlds.quotient import FLAT, P, Q, reduce_poly
 from ncworlds.scalar import Scalar
 
 A, B, C = NcPoly.gen("A"), NcPoly.gen("B"), NcPoly.gen("C")
@@ -138,3 +144,116 @@ def test_generator_text():
     assert G("H", primes=2).text() == "H''"
     assert G("theta", derivs=(1,)).text() == "theta_,1"
     assert G("g", 1, 1, derivs=(2,)).text() == "g_11,2"
+
+
+# -- mixed coefficient storage: plain rationals and Scalars -----------------------
+
+def params_over(cs):
+    """``c hbar^e`` or ``c tau^e`` with ``c`` drawn from ``cs``."""
+    return st.builds(lambda c, name, e: Scalar.param(name, e, c),
+                     cs, st.sampled_from(("hbar", "tau")), st.integers(-2, 2))
+
+
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+params = params_over(fractions)
+coeffs = st.one_of(st.integers(-4, 4), fractions, fractions.map(Scalar.rational),
+                   params, st.builds(operator.add, params, st.integers(-2, 2)))
+nonzero_ints = st.integers(1, 4) | st.integers(-4, -1)
+nonzero_fractions = st.builds(Fraction, nonzero_ints, st.integers(1, 4))
+divisors = st.one_of(nonzero_ints, nonzero_fractions, params_over(nonzero_fractions),
+                     nonzero_fractions.map(lambda c: Scalar.imag_unit() * c))
+words = st.lists(st.sampled_from(POOL), max_size=2).map(tuple)
+term_lists = st.lists(st.tuples(words, coeffs), max_size=3)
+
+
+def poly_of(terms):
+    return NcPoly.total(NcPoly.from_word(w, c) for w, c in terms)
+
+
+def ref_of(terms):
+    """Word -> Scalar map, summed term by term with ``Scalar.coerce``."""
+    out = {}
+    for w, c in terms:
+        out[w] = out.get(w, Scalar.zero()) + Scalar.coerce(c)
+    return {w: c for w, c in out.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for w, c in b.items():
+        out[w] = out.get(w, Scalar.zero()) + c * sign
+    return {w: c for w, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            out[w1 + w2] = out.get(w1 + w2, Scalar.zero()) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def ref_scaled(a, k):
+    return {w: c * k for w, c in a.items() if c * k}
+
+
+def matches(poly, ref):
+    """``poly`` holds the Scalars of ``ref``, prints like them and stores
+    every coefficient as an int, a Fraction or a Scalar."""
+    assert dict(poly.terms()) == ref
+    assert all(type(c) in (int, Fraction, Scalar) for _, c in poly.terms())
+    assert poly.to_text() == NcPoly(ref).to_text()
+    return True
+
+
+def test_constructors_store_rational_constants_as_plain_numbers():
+    hbar = Scalar.param("hbar")
+    cases = [(Scalar.rational(4, 2), int), (Fraction(6, 3), int), (Fraction(1, 2), Fraction),
+             (Scalar.rational(1, 2), Fraction), (3, int), (hbar, Scalar),
+             (Scalar.imag_unit(), Scalar)]
+    for value, kind in cases:
+        for poly in (NcPoly.from_scalar(value), NcPoly.from_word((G("A"),), value)):
+            (_, c), = poly.terms()
+            assert type(c) is kind and c == value
+    assert [type(c) for _, c in (A + NcPoly.one()).terms()] == [int, int]
+    assert A.coeff((G("B"),)) == 0 and type(A.coeff((G("B"),))) is int
+    assert type((A / 2).coeff((G("A"),))) is Fraction
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_lists, term_lists, coeffs, divisors)
+def test_mixed_coefficient_arithmetic_matches_scalar_reference(ta, tb, k, d):
+    a, b = poly_of(ta), poly_of(tb)
+    ra, rb = ref_of(ta), ref_of(tb)
+    assert matches(a, ra) and matches(b, rb)
+    assert matches(a + b, ref_add(ra, rb))
+    assert matches(a - b, ref_add(ra, rb, -1))
+    assert matches(-a, ref_scaled(ra, Scalar.rational(-1)))
+    assert matches(a * b, ref_mul(ra, rb))
+    assert matches(a.scaled(k), ref_scaled(ra, Scalar.coerce(k)))
+    assert matches(k * a, ref_scaled(ra, Scalar.coerce(k)))
+    assert matches(a / d, ref_scaled(ra, Scalar.coerce(d).inverse()))
+    assert (a / d) * d == a
+    for zero in (0, Fraction(0), Scalar.zero()):
+        with pytest.raises(ZeroDivisionError):
+            a / zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_lists, term_lists, term_lists)
+def test_mixed_coefficient_ring_axioms(ta, tb, tc):
+    a, b, c = poly_of(ta), poly_of(tb), poly_of(tc)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+
+
+flat_words = st.lists(st.sampled_from((Q(1), P(1), Q(2), P(2))), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(flat_words, coeffs), max_size=3))
+def test_reduce_is_idempotent_on_mixed_coefficients(terms):
+    poly = NcPoly.total(reduce(operator.mul, w, NcPoly.from_scalar(c)) for w, c in terms)
+    once = reduce_poly(poly, FLAT)
+    assert reduce_poly(once, FLAT) == once

@@ -47,7 +47,6 @@ def build_argparser() -> argparse.ArgumentParser:
     verify_p.add_argument("--length", type=int, default=12)
     verify_p.add_argument("--range", dest="spread", type=int, default=3)
     verify_p.add_argument("--levels", type=int, default=12)
-    verify_p.add_argument("--max-steps", type=int, default=None)
     verify_p.add_argument("--json", action="store_true")
 
     em_p = sub.add_parser("em-sim", help="run the discrete field model on random series")
@@ -133,8 +132,7 @@ def _cmd_verify(args) -> int:
     _require_trials(args.trials)
     _require_levels(args.levels, suites.MIN_TOWER_LEVELS)
     options = suites.Options(seed=args.seed, trials=args.trials, length=args.length,
-                             spread=args.spread, levels=args.levels,
-                             max_steps=args.max_steps)
+                             spread=args.spread, levels=args.levels)
     reports = suites.run_suite(args.suite, options)
     return _emit_reports(reports, args.json)
 

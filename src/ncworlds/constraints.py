@@ -20,7 +20,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .ncpoly import G, NcPoly, commutator
-from .quotient import ABC, Q, P, RewriteSystem, flat_with_functions, reduce_poly
+from .quotient import ABC, FLAT_FN, Q, P, RewriteSystem, reduce_poly
 from .scalar import RatLike, Scalar, narrow
 from .sparse import SparseSum, add_into
 
@@ -169,18 +169,17 @@ def quadratic_hamiltonian(n: int) -> NcPoly:
     return NcPoly.total(term(i, j) for i in pairs for j in pairs) / 4
 
 
-def first_constraint_residual(n: int, max_steps: int | None = None) -> NcPoly:
+def first_constraint_residual(n: int) -> NcPoly:
     """[theta, H] - sum_i {Hdot_i theta_i} for the quadratic Hamiltonian,
     reduced in the flat world with function symbols g_ij and theta."""
-    system = flat_with_functions(["g", "theta"])
     theta = NcPoly.gen("theta")
     h = quadratic_hamiltonian(n)
-    lhs = reduce_poly(commutator(theta, h), system, max_steps)
+    lhs = reduce_poly(commutator(theta, h), FLAT_FN)
     rhs = NcPoly.total(
-        symmetrize([reduce_poly(commutator(Q(i), h), system, max_steps),
-                    reduce_poly(commutator(theta, P(i)), system, max_steps)])
+        symmetrize([reduce_poly(commutator(Q(i), h), FLAT_FN),
+                    reduce_poly(commutator(theta, P(i)), FLAT_FN)])
         for i in range(1, n + 1))
-    return reduce_poly(lhs - rhs, system, max_steps)
+    return reduce_poly(lhs - rhs, FLAT_FN)
 
 
 # -- classical derivative tower ----------------------------------------------

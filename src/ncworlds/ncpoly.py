@@ -2,15 +2,17 @@
 
 Elements are canonical finite maps from words (tuples of generators) to
 coefficients, ``int | Fraction | Scalar`` by the storage rule of
-``ncworlds.scalar``; no zero coefficient is ever stored, so structural
-equality is equality in the free algebra. Every derivative in this world is a
-commutator map ``f -> [f, n]``.
+``ncworlds.scalar``: constructors store the ``int`` form, and arithmetic
+keeps whatever type Python returns (``A/2 + A/2`` stores ``Fraction(1, 1)``),
+which leaves ``==``, ``hash`` and the text output unaffected. No zero
+coefficient is ever stored, so structural equality is equality in the free
+algebra. Every derivative in this world is a commutator map ``f -> [f, n]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .scalar import Coeff, narrow, reciprocal, text
 from .sparse import SparseSum, add_into
@@ -122,9 +124,6 @@ class NcPoly(SparseSum):
     def degree(self) -> int:
         return max((len(w) for w in self._terms), default=0)
 
-    def generators(self) -> set[Generator]:
-        return {g for w in self._terms for g in w}
-
     # -- text --------------------------------------------------------------
 
     def to_text(self) -> str:
@@ -149,21 +148,8 @@ def _is_plain(ctxt: str) -> bool:
     return " " not in ctxt and not ctxt.startswith("-")
 
 
-def scale(s: Coeff, a: NcPoly) -> NcPoly:
-    return a.scaled(s)
-
-
 def commutator(a: NcPoly, b: NcPoly) -> NcPoly:
     return a * b - b * a
-
-
-def derivation(n: NcPoly) -> Callable[[NcPoly], NcPoly]:
-    """The commutator derivation f -> [f, n]; linear and Leibniz."""
-
-    def nabla(f: NcPoly) -> NcPoly:
-        return commutator(f, n)
-
-    return nabla
 
 
 def G(name: str, *indices: int, derivs: tuple[int, ...] = (), primes: int = 0) -> Generator:

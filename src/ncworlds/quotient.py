@@ -1,10 +1,13 @@
 """Quotient algebras presented by oriented rewrite rules.
 
-A rewrite system is an ordered list of rules; a rule inspects a word at a
-position and may replace a short span by a polynomial. Reduction applies the
-first matching rule at the leftmost position, repeatedly, until no rule
-fires. The shipped systems terminate: each rule strictly decreases either
-the number of out-of-order adjacent pairs or the word length.
+A rewrite system is a named, ordered list of rules; a rule inspects a word at
+a position and may replace a short span by a plain list of ``(word,
+coefficient)`` terms. Reduction applies the first matching rule at the
+leftmost position, repeatedly, until no rule fires. The shipped worlds are
+``free`` (no relations), ``flat`` (the canonical commutation relations of
+the ``Q_i`` and ``P_i``), ``flat-fn`` (``flat`` with every other generator a
+commuting function symbol of the ``Q_i``) and ``abc``; each one's
+termination argument sits beside its definition.
 
 The rule applied to a word depends on the word alone, so for a terminating
 system reduction is one fixed linear map NF: NF(w) = w for an irreducible
@@ -12,23 +15,27 @@ word, else the sum of c' NF(w') over the terms c' w' of its rewrite.
 ``reduce_poly`` therefore sums equal words before rewriting them, since
 NF(a w + b w) = (a + b) NF(w): the result is the same as following every
 rewrite path apart, confluent system or not, and cancelled words cost nothing.
+
+Every rewrite counts against one step budget per call: the ``max_steps``
+argument when given, else ``NCWORLDS_MAX_STEPS``, else ``DEFAULT_STEP_LIMIT``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .ncpoly import G, Generator, NcPoly, Word, commutator, word_text
-from .scalar import Scalar
+from .scalar import Coeff, Scalar
 from .sparse import add_into
 
 DEFAULT_STEP_LIMIT = 10**6
 STEP_LIMIT_ENV = "NCWORLDS_MAX_STEPS"
 
-# A rule maps (word, position) to (span length, replacement) or None.
-Rule = Callable[[Word, int], Optional[tuple[int, NcPoly]]]
+Terms = Sequence[tuple[Word, Coeff]]
+# A rule maps (word, position) to (span length, replacement terms) or None.
+Rule = Callable[[Word, int], Optional[tuple[int, Terms]]]
 
 
 class ReductionError(RuntimeError):
@@ -43,12 +50,10 @@ class ReductionError(RuntimeError):
         self.limit = limit
 
 
-def _classify(g: Generator, fn_names: frozenset[str] | None) -> str:
-    if g.name == "Q" and g.indices and not g.derivs:
-        return "Q"
-    if g.name == "P" and g.indices and not g.derivs:
-        return "P"
-    if g.derivs or fn_names is None or g.name in fn_names:
+def _classify(g: Generator, functions: bool) -> str:
+    if g.name in ("Q", "P") and g.indices and not g.derivs:
+        return g.name
+    if g.derivs or functions:
         return "fn"
     return "other"
 
@@ -57,11 +62,10 @@ def _classify(g: Generator, fn_names: frozenset[str] | None) -> str:
 class RewriteSystem:
     name: str
     rules: tuple[Rule, ...]
-    note: str
-    fn_names: frozenset[str] | None = frozenset()  # None means every non-Q/P name
+    functions: bool = False  # every generator but the Q_i and P_i is a function symbol
 
     def classify(self, g: Generator) -> str:
-        return _classify(g, self.fn_names)
+        return _classify(g, self.functions)
 
 
 def step_limit(explicit: int | None = None) -> int:
@@ -75,8 +79,8 @@ def reduce_poly(e: NcPoly, system: RewriteSystem, max_steps: int | None = None) 
     """Normal form of ``e``: the fixpoint of leftmost-first rule application."""
     limit = step_limit(max_steps)
     steps = 0
-    out: dict[Word, Scalar] = {}
-    pending: dict[Word, Scalar] = e._terms
+    out: dict[Word, Coeff] = {}
+    pending: dict[Word, Coeff] = e._terms
     while pending:
         pending, rewriting = {}, pending
         for w, c in rewriting.items():
@@ -89,35 +93,33 @@ def reduce_poly(e: NcPoly, system: RewriteSystem, max_steps: int | None = None) 
                 raise ReductionError(system.name, w, limit)
             i, span, repl = match
             prefix, suffix = w[:i], w[i + span:]
-            for w2, c2 in repl._terms.items():
+            for w2, c2 in repl:
                 add_into(pending, prefix + w2 + suffix, c * c2)
     return NcPoly(out)
 
 
-def _first_match(w: Word, system: RewriteSystem) -> tuple[int, int, NcPoly] | None:
+def _first_match(w: Word, system: RewriteSystem) -> tuple[int, int, Terms] | None:
     for i in range(len(w)):
         for rule in system.rules:
             hit = rule(w, i)
             if hit is not None:
-                span, repl = hit
-                return i, span, repl
+                return (i, *hit)
     return None
 
 
 def subword_rule(pattern: Word, replacement: NcPoly) -> Rule:
     span = len(pattern)
+    hit = (span, tuple(replacement.terms()))
 
     def rule(w: Word, i: int):
-        if w[i:i + span] == pattern:
-            return span, replacement
-        return None
+        return hit if w[i:i + span] == pattern else None
 
     return rule
 
 
-# -- the flat world ---------------------------------------------------------
+# -- the worlds --------------------------------------------------------------
 
-def _normal_order_rule(fn_names: frozenset[str] | None) -> Rule:
+def _normal_order_rule(functions: bool) -> Rule:
     # normal order: function symbols, then Q's, then P's, each family sorted;
     # P past Q costs a Kronecker delta, P past a function costs a derivative
 
@@ -125,53 +127,34 @@ def _normal_order_rule(fn_names: frozenset[str] | None) -> Rule:
         if i + 1 >= len(w):
             return None
         x, y = w[i], w[i + 1]
-        cx, cy = _classify(x, fn_names), _classify(y, fn_names)
+        cx, cy = _classify(x, functions), _classify(y, functions)
         if cx == "other" or cy == "other":
             return None
         if cx == "P" and cy == "Q":
-            repl = NcPoly.from_word((y, x))
             if x.indices == y.indices:
-                repl = repl - NcPoly.one()
-            return 2, repl
+                return 2, (((y, x), 1), ((), -1))
+            return 2, (((y, x), 1),)
         if cx == "P" and cy == "fn":
-            j = x.indices[0]
-            return 2, NcPoly.from_word((y, x)) - NcPoly.from_word((y.with_deriv(j),))
-        if cx == "Q" and cy == "fn":
-            return 2, NcPoly.from_word((y, x))
-        if cx == cy and y < x:
-            return 2, NcPoly.from_word((y, x))
+            return 2, (((y, x), 1), ((y.with_deriv(x.indices[0]),), -1))
+        if (cx == "Q" and cy == "fn") or (cx == cy and y < x):
+            return 2, (((y, x), 1),)
         return None
 
     return rule
 
 
-def normal_order_system(name: str, fn_names: frozenset[str] | None) -> RewriteSystem:
-    note = "each application removes an inversion or shortens the word"
-    return RewriteSystem(name, (_normal_order_rule(fn_names),), note, fn_names)
+FREE = RewriteSystem("free", ())
+# Termination of flat and flat-fn: each rewrite either removes an inversion
+# of the normal order or shortens the word.
+FLAT = RewriteSystem("flat", (_normal_order_rule(False),))
+FLAT_FN = RewriteSystem("flat-fn", (_normal_order_rule(True),), functions=True)
 
-
-FREE = RewriteSystem(name="free", rules=(), note="no relations", fn_names=frozenset())
-FLAT = normal_order_system("flat", frozenset())
-FLAT_FN = normal_order_system("flat-fn", None)
-
-
-def flat_with_functions(fn_names: Iterable[str]) -> RewriteSystem:
-    return normal_order_system("flat-fn", frozenset(fn_names))
-
-
-def abc_system() -> RewriteSystem:
-    a, b, c = G("A"), G("B"), G("C")
-    return RewriteSystem(
-        name="abc-relations",
-        rules=(
-            subword_rule((b, a), NcPoly.from_word((a, b))),
-            subword_rule((b, c, a), NcPoly.from_word((a, c, b))),
-        ),
-        note="both rules strictly decrease inversions for the order A < B < C",
-    )
-
-
-ABC = abc_system()
+_A, _B, _C = G("A"), G("B"), G("C")
+# Termination: both rules strictly decrease inversions for the order A < B < C.
+ABC = RewriteSystem("abc-relations", (
+    subword_rule((_B, _A), NcPoly.from_word((_A, _B))),
+    subword_rule((_B, _C, _A), NcPoly.from_word((_A, _C, _B))),
+))
 
 NAMED_SYSTEMS = {"free": FREE, "flat": FLAT, "flat-fn": FLAT_FN, "abc": ABC,
                  "abc-relations": ABC}
@@ -195,16 +178,14 @@ def P(i: int) -> NcPoly:
     return NcPoly.from_word((p_gen(i),))
 
 
-def flat_partial_q(f: NcPoly, i: int, system: RewriteSystem = FLAT,
-                   max_steps: int | None = None) -> NcPoly:
+def flat_partial_q(f: NcPoly, i: int, system: RewriteSystem = FLAT) -> NcPoly:
     """d f / d Q_i as the reduced commutator [f, P_i]."""
-    return reduce_poly(commutator(f, P(i)), system, max_steps)
+    return reduce_poly(commutator(f, P(i)), system)
 
 
-def flat_partial_p(f: NcPoly, i: int, system: RewriteSystem = FLAT,
-                   max_steps: int | None = None) -> NcPoly:
+def flat_partial_p(f: NcPoly, i: int, system: RewriteSystem = FLAT) -> NcPoly:
     """d f / d P_i as the reduced commutator [Q_i, f]."""
-    return reduce_poly(commutator(Q(i), f), system, max_steps)
+    return reduce_poly(commutator(Q(i), f), system)
 
 
 def formal_partial_q(f: NcPoly, i: int, system: RewriteSystem = FLAT) -> NcPoly:
@@ -213,7 +194,7 @@ def formal_partial_q(f: NcPoly, i: int, system: RewriteSystem = FLAT) -> NcPoly:
     Independent of the commutator route: counts Q_i occurrences and applies
     the product rule to function-symbol factors.
     """
-    out: dict[Word, Scalar] = {}
+    out: dict[Word, Coeff] = {}
     for w, c in f.terms():
         for pos, g in enumerate(w):
             cls = system.classify(g)
@@ -225,7 +206,7 @@ def formal_partial_q(f: NcPoly, i: int, system: RewriteSystem = FLAT) -> NcPoly:
 
 
 def formal_partial_p(f: NcPoly, i: int, system: RewriteSystem = FLAT) -> NcPoly:
-    out: dict[Word, Scalar] = {}
+    out: dict[Word, Coeff] = {}
     for w, c in f.terms():
         for pos, g in enumerate(w):
             if system.classify(g) == "P" and g.indices == (i,):
@@ -268,10 +249,10 @@ def gauge_curvature_residual(a: Sequence[NcPoly], f: NcPoly, i: int, j: int,
     return reduce_poly(mixed - commutator(f, r_ij), system)
 
 
-def schroedinger_residual(dt_name: str = "dt", hbar_name: str = "hbar") -> NcPoly:
-    """[psi, J/dt] - i hbar [psi, H] for J = 1 + i hbar H dt; identically 0."""
+def schroedinger_residual(h: NcPoly = NcPoly.gen("H"), dt_name: str = "dt",
+                          hbar_name: str = "hbar") -> NcPoly:
+    """[psi, J/dt] - i hbar [psi, h] for J = 1 + i hbar h dt; identically 0."""
     psi = NcPoly.gen("psi")
-    h = NcPoly.gen("H")
     i_hbar_dt = Scalar.imag_unit() * Scalar.param(hbar_name) * Scalar.param(dt_name)
     j_op = NcPoly.one() + h.scaled(i_hbar_dt)
     lhs = commutator(psi, j_op / Scalar.param(dt_name))

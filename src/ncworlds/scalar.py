@@ -16,9 +16,12 @@ its coefficients (``Coeff``): a rational constant is stored as a plain
 ``int``, or as a ``Fraction`` when its denominator is not 1, and a value is
 a ``Scalar`` only when it carries a parameter or ``i``. ``narrow`` applies
 the rule, ``text`` prints a stored coefficient and ``reciprocal`` inverts
-one. The kinds mix through Python's operators, and arithmetic keeps what
-they return, so a product such as ``hbar * hbar^-1`` stays the ``Scalar``
-1; it equals and hashes like the number 1.
+one. Constructors store the ``int`` form. The kinds mix through Python's
+operators, and arithmetic keeps whatever type they return without
+narrowing again: ``A/2 + A/2`` stores ``Fraction(1, 1)`` and
+``hbar * hbar^-1`` the ``Scalar`` 1. ``==``, ``hash`` and the text output
+are unaffected, since each of these equals and hashes like the number 1
+and prints as ``1``.
 """
 
 from __future__ import annotations
@@ -264,9 +267,11 @@ def narrow(value: Coeff) -> Coeff:
         if len(terms) > 1 or (_EMPTY, 0) not in terms:
             return value
         value = terms[_EMPTY, 0]
-    else:
-        value = _fraction(value)
-    return int(value) if value.denominator == 1 else value
+    elif isinstance(value, int):
+        return int(value)
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"not an exact scalar: {value!r}")
+    return value.numerator if value.denominator == 1 else value
 
 
 def text(value: Coeff) -> str:

@@ -150,6 +150,22 @@ def test_max_steps_flag(capsys):
     assert code == 0
 
 
+def test_verify_takes_no_max_steps_option(capsys):
+    # the step limit of a suite comes from NCWORLDS_MAX_STEPS alone
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "flat", "--max-steps", "5"])
+    assert exc.value.code == 2
+    assert "--max-steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["flat", "constraints-1"])
+def test_env_step_limit_reaches_every_suite(capsys, monkeypatch, suite):
+    monkeypatch.setenv("NCWORLDS_MAX_STEPS", "1")
+    code, out, err = run(capsys, "verify", suite)
+    assert code == 1
+    assert "exceeded 1 steps" in out + err
+
+
 @pytest.mark.parametrize("levels", ["0", "-3"])
 def test_tower_rejects_nonpositive_levels(capsys, levels):
     code, out, err = run(capsys, "tower", "--levels", levels)

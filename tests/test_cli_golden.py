@@ -53,6 +53,8 @@ GOLDEN = [
     (["reduce", "hbar hbar^-1 X + X"], 0, "37085bba3c79eefd974f03d75ace6d304179db9ac852dd53d54b9062209684c5"),
     (["matrix", "decompose", "[[\"1/2\", -3, 0], [2, \"5/3\", 6], [7, 8, -1]]"], 0, "ee960b1eadd195b397a432855750dbc67e587bc4abb0a47b0970efebfda1c51f"),
     (["tower", "--levels", "20", "--json"], 0, "deda6ea58ae068c50676e0810882568c150697e54c822cddad50bc3791aa4a59"),
+    (["reduce", "P_1 H theta", "--world", "flat-fn", "--json"], 0, "32062194e1e64ec444c4095f829c6903be5d1128a472b726ecbed761f5e17965"),
+    (["reduce", "P_1 theta", "--world", "flat"], 0, "207c39b71eaa1163e13edec822fbbe9b0cc6de4f6c8f09274aed244b0c5b54d0"),
 ]
 
 

@@ -14,7 +14,7 @@ from ncworlds.constraints import (CPoly, THETA, curvature_form_check,
                                   symmetrizer_commutator_identity,
                                   third_constraint_check, theta_sym)
 from ncworlds.ncpoly import G, NcPoly, commutator
-from ncworlds.quotient import P, flat_with_functions, reduce_poly
+from ncworlds.quotient import FLAT_FN, P, reduce_poly
 from ncworlds.scalar import Scalar
 
 
@@ -199,7 +199,7 @@ def test_first_constraint_quadratic():
 
 def test_first_constraint_one_dimensional_expansion():
     # hand expansion: [theta, H] = g theta' P - g theta''/2 - g' theta'/2
-    system = flat_with_functions(["g", "theta"])
+    system = FLAT_FN
     theta = NcPoly.gen("theta")
     lhs = reduce_poly(commutator(theta, quadratic_hamiltonian(1)), system)
     g = NcPoly.from_word((G("g", 1, 1),))
@@ -211,7 +211,7 @@ def test_first_constraint_one_dimensional_expansion():
 
 
 def test_constant_observable_trivial():
-    system = flat_with_functions(["g", "theta"])
+    system = FLAT_FN
     c = NcPoly.from_scalar(Scalar.param("c"))
     h = quadratic_hamiltonian(1)
     assert reduce_poly(commutator(c, h), system).is_zero()

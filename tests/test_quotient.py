@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from ncworlds.ncpoly import G, NcPoly, commutator
 from ncworlds.quotient import (ABC, FLAT, FLAT_FN, P, Q, ReductionError, RewriteSystem,
-                               flat_partial_p, flat_partial_q,
-                               flat_with_functions, formal_partial_p,
+                               flat_partial_p, flat_partial_q, formal_partial_p,
                                formal_partial_q, gauge_curvature_residual,
                                hamilton_check, reduce_poly,
                                schroedinger_residual, subword_rule)
@@ -34,7 +33,7 @@ def test_canonical_commutation():
 
 
 def test_function_symbols_commute_and_differentiate():
-    system = flat_with_functions(["theta", "g"])
+    system = FLAT_FN
     theta = NcPoly.gen("theta")
     assert (reduce_poly(P(1) * theta, system)
             == theta * P(1) - NcPoly.gen("theta", derivs=(1,)))
@@ -119,7 +118,7 @@ def test_gauge_curvature_flat_and_generic():
 
 
 def test_gauge_curvature_function_connection():
-    system = flat_with_functions(["a"])
+    system = FLAT_FN
     a = [NcPoly.gen("a", 1), NcPoly.gen("a", 2)]
     r12 = (flat_partial_q(a[1], 1, system) - flat_partial_q(a[0], 2, system)
            + reduce_poly(commutator(a[0], a[1]), system))
@@ -143,7 +142,6 @@ def test_step_limit_diagnostic():
     loop = RewriteSystem(
         name="loop",
         rules=(subword_rule((x,), NcPoly.from_word((x,))),),
-        note="does not terminate; for the limit test only",
     )
     with pytest.raises(ReductionError) as err:
         reduce_poly(NcPoly.from_word((x,)), loop, max_steps=50)
@@ -156,7 +154,6 @@ def test_env_step_limit(monkeypatch):
     loop = RewriteSystem(
         name="loop",
         rules=(subword_rule((x,), NcPoly.from_word((x,))),),
-        note="loops",
     )
     with pytest.raises(ReductionError) as err:
         reduce_poly(NcPoly.from_word((x,)), loop)

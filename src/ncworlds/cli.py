@@ -17,7 +17,7 @@ from . import iterant as it
 from . import skewdiff as sd
 from . import suites
 from .parser import ParseError, evaluate, parse, print_expr, world
-from .quotient import NAMED_SYSTEMS, ReductionError
+from .quotient import NAMED_SYSTEMS, ReductionError, step_limit
 from .scalar import text
 
 # matrix decompose builds n! terms, each a diagonal of n scalars
@@ -107,7 +107,7 @@ def _emit_reports(reports: list[suites.SuiteReport], as_json: bool) -> int:
 def _cmd_reduce(args) -> int:
     expr = parse(args.expr)
     system = world(args.world)
-    poly = evaluate(expr, system, args.max_steps)
+    poly = evaluate(expr, system, step_limit(args.max_steps))
     if args.json:
         print(json.dumps({"input": print_expr(expr), "world": args.world,
                           "normal_form": poly.to_text()}, sort_keys=True))
@@ -246,6 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_argparser()
     args = parser.parse_args(argv)
     try:
+        step_limit()  # a malformed NCWORLDS_MAX_STEPS stops every command
         if args.command == "reduce":
             return _cmd_reduce(args)
         if args.command == "verify":

@@ -20,7 +20,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .ncpoly import G, NcPoly, commutator
-from .quotient import ABC, FLAT_FN, Q, P, RewriteSystem, reduce_poly
+from .quotient import ABC, FLAT_FN, Q, P, reduce_poly
 from .scalar import RatLike, Scalar, narrow
 from .sparse import SparseSum, add_into
 
@@ -61,16 +61,16 @@ class AbcIdentity:
         return self.intermediate_residual.is_zero() and self.commutator_residual.is_zero()
 
 
-def symmetrizer_commutator_identity(system: RewriteSystem = ABC) -> AbcIdentity:
+def symmetrizer_commutator_identity() -> AbcIdentity:
     a, b, c = NcPoly.gen("A"), NcPoly.gen("B"), NcPoly.gen("C")
     diff = symmetrize([a, b, c]) - symmetrize([a, symmetrize([b, c])])
-    reduced = reduce_poly(diff, system)
+    reduced = reduce_poly(diff, ABC)
     display = (a * b * c - (a * c * b).scaled(2) + c * a * b) / 12
     bracket = commutator(a, commutator(b, c)) / 12
     return AbcIdentity(
         reduced_difference=reduced,
-        intermediate_residual=reduced - reduce_poly(display, system),
-        commutator_residual=reduced - reduce_poly(bracket, system),
+        intermediate_residual=reduced - reduce_poly(display, ABC),
+        commutator_residual=reduced - reduce_poly(bracket, ABC),
     )
 
 
@@ -89,11 +89,8 @@ class ThirdConstraint:
                 and self.ratio_residual.is_zero())
 
 
-def third_constraint_check(theta: NcPoly, h: NcPoly, hdot: NcPoly,
-                           hddot: NcPoly | None = None) -> ThirdConstraint:
-    if hddot is None:
-        hddot = NcPoly.gen("H", primes=2)
-
+def third_constraint_check(theta: NcPoly, h: NcPoly, hdot: NcPoly) -> ThirdConstraint:
+    hddot = NcPoly.gen("H", primes=2)
     hh = h * h
     exp1 = commutator(hh, commutator(h, theta)) - (
         h * h * h * theta - h * h * theta * h - h * theta * h * h + theta * h * h * h

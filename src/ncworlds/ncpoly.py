@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .scalar import Coeff, narrow, reciprocal, text
-from .sparse import SparseSum, add_into
+from .sparse import SparseSum, add_into, commutator  # commutator is re-exported
 
 
 @dataclass(frozen=True, order=True)
@@ -146,10 +146,6 @@ class NcPoly(SparseSum):
 
 def _is_plain(ctxt: str) -> bool:
     return " " not in ctxt and not ctxt.startswith("-")
-
-
-def commutator(a: NcPoly, b: NcPoly) -> NcPoly:
-    return a * b - b * a
 
 
 def G(name: str, *indices: int, derivs: tuple[int, ...] = (), primes: int = 0) -> Generator:

@@ -5,22 +5,25 @@ Grammar (whitespace separates juxtaposed factors, juxtaposition multiplies):
     expr   := ['-'] term (('+' | '-') term)*
     term   := factor (['.'] factor)*
     symm   := '{' factor+ '}'
-    factor := NUMBER | param | gen | '[' expr ',' expr ']' | symm | '(' expr ')'
-    param  := PNAME ('^' ['-'] digits)?          names from the parameter set
-    gen    := NAME (('^' | '_') digits)? (',' digits)? '\''*
-    NUMBER := digits ('/' digits)?
+    factor := NUMBER | NAME | '[' expr ',' expr ']' | symm | '(' expr ')'
 
-Generator index digits are read one index per digit (Q^12 has indices 1,2);
-the digits after a comma are formal-derivative indices (g_11,2). The single
-letter i is the imaginary unit. Parsing a canonical print returns the same
-tree; printing a parse is normalizing.
+The pattern ``_TOKEN`` is the lexical grammar: NUMBER is digits ('/'
+digits)? and NAME is letters (('^' ['-'] | '_') digits)? (',' digits)? "'"*.
+Digits are ASCII, so "٣" and "²" are refused with a located error; letters
+are what ``str.isalpha`` accepts, so "θ" is a name.
+
+A NAME in the parameter set is a parameter with its index as exponent, and
+the single letter i is the imaginary unit. Any other NAME is a generator:
+one index per digit (Q^12 has indices 1,2), and the digits after a comma are
+formal-derivative indices (g_11,2; theta_,1). Parsing a canonical print
+returns the same tree; printing a parse is normalizing.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .constraints import symmetrize
 from .ncpoly import Generator, NcPoly, commutator
@@ -86,108 +89,63 @@ Expr = Num | ImagUnit | Param | Generator | Prod | Sum | Comm | Symm
 
 # -- lexer ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
+_TOKEN = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<number>[0-9]+(?:/[0-9]+)?)
+  | (?P<name>(?P<letters>[^\W\d_]+)
+        (?:(?P<marker>[_^])(?P<index>(?<=\^)-?[0-9]*|[0-9]*))?
+        (?:,(?P<deriv>[0-9]+))?
+        (?P<primes>'*))
+  | (?P<decimal>\.[0-9])
+  | (?P<punct>[][(){}+\-,.])
+  | (?P<bad>.)
+""", re.VERBOSE)
+
+
+@dataclass(slots=True)  # not frozen: a frozen __init__ costs 1 µs per token
 class Token:
-    kind: str          # NUMBER NAME PUNCT END
+    kind: str          # number name punct end
     text: str
     line: int
     col: int
-    # attached generator suffix, lexed only when adjacent to a NAME
-    index_digits: str | None = None
-    index_signed: bool = False
-    deriv_digits: str | None = None
-    primes: int = 0
+    match: re.Match | None = None  # a name's suffix groups
 
 
-_PUNCT = set("[](){}+-,.")
-
-
-def _tokens(src: str) -> Iterator[Token]:
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == "/" and j + 1 < n and src[j + 1].isdigit():
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            yield Token("NUMBER", src[i:j], line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and src[j].isalpha():
-                j += 1
-            name = src[i:j]
-            index_digits = None
-            index_signed = False
-            deriv_digits = None
-            primes = 0
-            if j < n and src[j] in "^_":
-                marker = src[j]
-                j += 1
-                k = j
-                if marker == "^" and k < n and src[k] == "-":
-                    index_signed = True
-                    k += 1
-                digits_start = k
-                while k < n and src[k].isdigit():
-                    k += 1
-                # "theta_,1" carries derivative indices only
-                deriv_only = marker == "_" and src[k:k + 1] == "," and src[k + 1:k + 2].isdigit()
-                if k == digits_start and not deriv_only:
-                    raise ParseError(f"missing digits after {marker!r}", line,
-                                     start_col + k - i, ("digits",))
-                index_digits = src[j:k]
-                j = k
-            if j + 1 < n and src[j] == "," and src[j + 1].isdigit():
-                j += 1
-                k = j
-                while k < n and src[k].isdigit():
-                    k += 1
-                deriv_digits = src[j:k]
-                j = k
-            while j < n and src[j] == "'":
-                primes += 1
-                j += 1
-            yield Token("NAME", name, line, start_col,
-                        index_digits=index_digits, index_signed=index_signed,
-                        deriv_digits=deriv_digits, primes=primes)
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            if ch == "." and i + 1 < n and src[i + 1].isdigit():
-                raise ParseError("decimal literals are not supported; use p/q",
-                                 line, start_col)
-            yield Token("PUNCT", ch, line, start_col)
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    yield Token("END", "", line, col)
+def _tokens(src: str) -> list[Token]:
+    out = []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, pos = m.lastgroup, m.start()
+        col = pos - line_start + 1
+        if kind == "space":
+            newline = m.group().rfind("\n")
+            if newline >= 0:
+                line += m.group().count("\n")
+                line_start = pos + newline + 1
+        elif kind == "name":
+            letters, marker, index, deriv = m.group("letters", "marker", "index", "deriv")
+            if not letters.isalpha():  # [^\W\d_] also matches "²" and "½"
+                bad = next(k for k, ch in enumerate(letters) if not ch.isalpha())
+                raise ParseError(f"unexpected character {letters[bad]!r}", line, col + bad)
+            # "theta_,1" carries derivative indices only
+            if marker and not index.lstrip("-") and not (marker == "_" and deriv):
+                raise ParseError(f"missing digits after {marker!r}", line,
+                                 col + m.end("index") - pos, ("digits",))
+            out.append(Token(kind, letters, line, col, m))
+        elif kind == "decimal":
+            raise ParseError("decimal literals are not supported; use p/q", line, col)
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        else:
+            out.append(Token(kind, m.group(), line, col))
+    out.append(Token("end", "", line, len(src) - line_start + 1))
+    return out
 
 
 class _Parser:
-    def __init__(self, src: str, params: frozenset[str]):
-        self.tokens = list(_tokens(src))
+    def __init__(self, src: str):
+        self.tokens = _tokens(src)
         self.pos = 0
-        self.params = params
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -199,7 +157,7 @@ class _Parser:
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == text:
+        if tok.kind == "punct" and tok.text == text:
             return self.advance()
         self.fail(f"found {tok.text!r}" if tok.text else "unexpected end of input", (text,))
 
@@ -237,33 +195,33 @@ class _Parser:
 
     def _is_punct(self, text: str) -> bool:
         tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
+        return tok.kind == "punct" and tok.text == text
 
     def _starts_factor(self) -> bool:
         tok = self.peek()
-        if tok.kind in ("NUMBER", "NAME"):
+        if tok.kind in ("number", "name"):
             return True
-        return tok.kind == "PUNCT" and tok.text in "[{("
+        return tok.kind == "punct" and tok.text in "[{("
 
     def parse_factor(self):
         tok = self.peek()
-        if tok.kind == "NUMBER":
+        if tok.kind == "number":
             self.advance()
             try:
                 return Num(Fraction(tok.text))
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {tok.text!r}", tok.line, tok.col) from None
-        if tok.kind == "NAME":
+        if tok.kind == "name":
             self.advance()
             return self._name_node(tok)
-        if tok.kind == "PUNCT" and tok.text == "[":
+        if tok.kind == "punct" and tok.text == "[":
             self.advance()
             a = self.parse_expr()
             self.expect(",")
             b = self.parse_expr()
             self.expect("]")
             return Comm(a, b)
-        if tok.kind == "PUNCT" and tok.text == "{":
+        if tok.kind == "punct" and tok.text == "{":
             self.advance()
             factors = [self.parse_factor()]
             while self._starts_factor():
@@ -272,7 +230,7 @@ class _Parser:
                 factors.append(self.parse_factor())
             self.expect("}")
             return Symm(tuple(factors))
-        if tok.kind == "PUNCT" and tok.text == "(":
+        if tok.kind == "punct" and tok.text == "(":
             self.advance()
             inner = self.parse_expr()
             self.expect(")")
@@ -281,28 +239,28 @@ class _Parser:
                   ("number", "name", "[", "{", "("))
 
     def _name_node(self, tok: Token):
-        if tok.text == "i" and tok.index_digits is None and not tok.primes and tok.deriv_digits is None:
+        marker, index, deriv, primes = tok.match.group("marker", "index", "deriv", "primes")
+        if tok.text == "i" and marker is None and deriv is None and not primes:
             return ImagUnit()
-        if tok.text in self.params:
-            if tok.deriv_digits is not None or tok.primes:
+        if tok.text in DEFAULT_PARAMS:
+            if deriv is not None or primes:
                 raise ParseError(f"parameter {tok.text!r} takes only an exponent",
                                  tok.line, tok.col)
-            exp = int(tok.index_digits) if tok.index_digits else 1
+            exp = int(index) if index else 1
             if exp == 0:
                 raise ParseError("zero exponent", tok.line, tok.col)
             return Param(tok.text, exp)
-        if tok.index_signed:
+        if index and index[0] == "-":
             raise ParseError("generator indices cannot be negative", tok.line, tok.col)
-        indices = tuple(int(d) for d in (tok.index_digits or ""))
-        derivs = tuple(int(d) for d in (tok.deriv_digits or ""))
-        return Generator(tok.text, indices, derivs, tok.primes)
+        return Generator(tok.text, tuple(map(int, index or "")),
+                         tuple(map(int, deriv or "")), len(primes))
 
 
-def parse(src: str, params: frozenset[str] = DEFAULT_PARAMS):
-    parser = _Parser(src, params)
+def parse(src: str):
+    parser = _Parser(src)
     expr = parser.parse_expr()
     tok = parser.peek()
-    if tok.kind != "END":
+    if tok.kind != "end":
         parser.fail(f"trailing input {tok.text!r}", ("end of input",))
     return expr
 

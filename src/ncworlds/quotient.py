@@ -69,10 +69,19 @@ class RewriteSystem:
 
 
 def step_limit(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(STEP_LIMIT_ENV)
-    return int(env) if env else DEFAULT_STEP_LIMIT
+    """The step budget; raises ValueError when it is not a positive integer."""
+    source, value = "max_steps", explicit
+    if explicit is None:
+        source, value = STEP_LIMIT_ENV, os.environ.get(STEP_LIMIT_ENV)
+        if not value:
+            return DEFAULT_STEP_LIMIT
+    try:
+        limit = int(value)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return limit
 
 
 def reduce_poly(e: NcPoly, system: RewriteSystem, max_steps: int | None = None) -> NcPoly:
@@ -151,13 +160,12 @@ FLAT_FN = RewriteSystem("flat-fn", (_normal_order_rule(True),), functions=True)
 
 _A, _B, _C = G("A"), G("B"), G("C")
 # Termination: both rules strictly decrease inversions for the order A < B < C.
-ABC = RewriteSystem("abc-relations", (
+ABC = RewriteSystem("abc", (
     subword_rule((_B, _A), NcPoly.from_word((_A, _B))),
     subword_rule((_B, _C, _A), NcPoly.from_word((_A, _C, _B))),
 ))
 
-NAMED_SYSTEMS = {"free": FREE, "flat": FLAT, "flat-fn": FLAT_FN, "abc": ABC,
-                 "abc-relations": ABC}
+NAMED_SYSTEMS = {s.name: s for s in (FREE, FLAT, FLAT_FN, ABC)}
 
 
 # -- flat-world calculus ----------------------------------------------------
@@ -249,12 +257,11 @@ def gauge_curvature_residual(a: Sequence[NcPoly], f: NcPoly, i: int, j: int,
     return reduce_poly(mixed - commutator(f, r_ij), system)
 
 
-def schroedinger_residual(h: NcPoly = NcPoly.gen("H"), dt_name: str = "dt",
-                          hbar_name: str = "hbar") -> NcPoly:
+def schroedinger_residual(h: NcPoly = NcPoly.gen("H")) -> NcPoly:
     """[psi, J/dt] - i hbar [psi, h] for J = 1 + i hbar h dt; identically 0."""
     psi = NcPoly.gen("psi")
-    i_hbar_dt = Scalar.imag_unit() * Scalar.param(hbar_name) * Scalar.param(dt_name)
-    j_op = NcPoly.one() + h.scaled(i_hbar_dt)
-    lhs = commutator(psi, j_op / Scalar.param(dt_name))
-    rhs = commutator(psi, h).scaled(Scalar.imag_unit() * Scalar.param(hbar_name))
+    dt, i_hbar = Scalar.param("dt"), Scalar.imag_unit() * Scalar.param("hbar")
+    j_op = NcPoly.one() + h.scaled(i_hbar * dt)
+    lhs = commutator(psi, j_op / dt)
+    rhs = commutator(psi, h).scaled(i_hbar)
     return lhs - rhs

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence as Seq
 
 from .scalar import Coeff, Scalar, narrow, reciprocal, text
-from .sparse import SparseSum, add_into
+from .sparse import SparseSum, add_into, commutator
 
 
 class WindowError(RuntimeError):
@@ -203,10 +203,6 @@ def as_skew(f: "Sequence | SkewElement") -> SkewElement:
     return f if isinstance(f, SkewElement) else SkewElement.of(f)
 
 
-def commutator(a: SkewElement, b: SkewElement) -> SkewElement:
-    return a * b - b * a
-
-
 def nabla(f: "Sequence | SkewElement", dt: Coeff = 1) -> SkewElement:
     """The adjusted derivative [f, J]/dt = J (f1 - f)/dt."""
     f = as_skew(f)
@@ -371,12 +367,11 @@ def em_theorem_residuals(x: Vec3, dt: Coeff = 1) -> tuple[EmResiduals, Vec3]:
     return EmResiduals(lorentz, div_b, faraday, ampere), b
 
 
-def modified_leibniz_residual(f: SkewElement, g: SkewElement, x: Vec3,
-                              dt: Coeff = 1) -> SkewElement:
+def modified_leibniz_residual(f: SkewElement, g: SkewElement, x: Vec3) -> SkewElement:
     """partial_t(fg) - partial_t(f) g - f partial_t(g) - sum_i d_i(f) d_i(g),
     with the derivatives built from the velocity of the coordinate triple x."""
-    xdot = x.map(lambda comp: nabla(comp, dt))
-    out = partial_t(f * g, xdot, dt) - partial_t(f, xdot, dt) * g - f * partial_t(g, xdot, dt)
+    xdot = x.map(nabla)
+    out = partial_t(f * g, xdot) - partial_t(f, xdot) * g - f * partial_t(g, xdot)
     for i in (1, 2, 3):
         out = out - partial_spatial(f, xdot, i) * partial_spatial(g, xdot, i)
     return out

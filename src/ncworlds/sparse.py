@@ -27,6 +27,11 @@ def add_into(terms: dict, key, value) -> None:
         del terms[key]
 
 
+def commutator(a, b):
+    """[a, b] = ab - ba in any of the element types."""
+    return a * b - b * a
+
+
 class SparseSum:
     """A finite sum held as a canonical ``_terms`` map; subclasses add the
     product and the text."""

@@ -241,3 +241,48 @@ def test_verify_tower_runs_the_levels_asked_for(capsys, monkeypatch):
                         lambda n: asked.append(n) or real(n))
     code, _, _ = run(capsys, "verify", "tower", "--levels", "13", "--json")
     assert code == 0 and asked == [13]
+
+
+@pytest.mark.parametrize("expr, col", [("²", 1), ("Q^²", 3), ("P_1²", 4)])
+def test_non_ascii_digits_are_located_syntax_errors(capsys, expr, col):
+    code, out, err = run(capsys, "reduce", expr)
+    assert code == 2 and out == ""
+    assert f"syntax error at 1:{col}" in err
+
+
+def test_em_checks_fail_when_the_trials_did_not_run(capsys):
+    code, out, _ = run(capsys, "verify", "em", "--length", "3", "--trials", "5", "--json")
+    assert code == 1
+    status = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert status["discrete-trials"]["status"] == "fail"
+    for cid in ("lorentz-force", "divergence-b", "faraday-with-curvature",
+                "ampere-with-waves"):
+        assert status[cid]["status"] == "fail"
+        assert status[cid]["residual"].startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5"])
+@pytest.mark.parametrize("argv", [["verify", "flat"], ["reduce", "P_1 Q^1", "--world", "flat"],
+                                  ["tower", "--levels", "2"]])
+def test_malformed_step_limit_variable_stops_every_command(capsys, monkeypatch, value, argv):
+    monkeypatch.setenv("NCWORLDS_MAX_STEPS", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "NCWORLDS_MAX_STEPS" in err and value in err
+
+
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_max_steps_below_one_is_refused(capsys, steps):
+    code, out, err = run(capsys, "reduce", "P_1 Q^1", "--world", "flat", "--max-steps", steps)
+    assert code == 2 and out == ""
+    assert "max_steps" in err and steps in err
+
+
+def test_each_world_has_one_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "B A", "--world", "abc-relations"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # the error and the --json output name the same world
+    code, _, err = run(capsys, "reduce", "B A B A B A", "--world", "abc", "--max-steps", "1")
+    assert code == 1 and "system 'abc'" in err

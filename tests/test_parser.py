@@ -1,7 +1,9 @@
 import random
+import string
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncworlds.ncpoly import G, NcPoly
 from ncworlds.parser import (Comm, ImagUnit, Num, Param, ParseError, Prod, Sum,
@@ -150,3 +152,37 @@ def test_malformed_literals_are_located_parse_errors(src, col):
     with pytest.raises(ParseError) as err:
         parse(src)
     assert (err.value.line, err.value.col) == (1, col)
+
+
+# ASCII plus non-ASCII numerals ("²", "½", "٣") and letters ("θ", "é")
+TEXT = st.text(st.sampled_from(string.printable + "²½θ٣é"), max_size=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(TEXT)
+def test_parse_succeeds_or_raises_a_located_parse_error(src):
+    try:
+        e = parse(src)
+    except ParseError as err:
+        line = src.split("\n")[err.line - 1]
+        assert 1 <= err.col <= len(line) + 1
+    else:
+        assert parse(print_expr(e)) == e
+
+
+@pytest.mark.parametrize("src, col", [
+    ("٣", 1),           # digits are ASCII only
+    ("X ٣", 3),
+    ("Q^٣", 3),
+    ("θ²", 2),          # a name is a run of str.isalpha letters
+    ("½", 1),
+    ("A\n  ²", 3),
+])
+def test_non_ascii_numerals_are_located_parse_errors(src, col):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert (err.value.line, err.value.col) == (src.count("\n") + 1, col)
+
+
+def test_non_ascii_letters_are_names():
+    assert parse("θ é'") == Prod((G("θ"), G("é", primes=1)))

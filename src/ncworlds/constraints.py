@@ -13,25 +13,56 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import permutations
-from math import factorial
-from operator import mul
+from math import factorial, prod
 from typing import Iterable, Sequence
 
-from .ncpoly import G, NcPoly, commutator
+from .ncpoly import G, NcPoly, Word, commutator
 from .quotient import ABC, FLAT_FN, Q, P, reduce_poly
-from .scalar import RatLike, Scalar, narrow
+from .scalar import Coeff, RatLike, Scalar, narrow
 from .sparse import SparseSum, add_into
 
 
 def symmetrize(factors: Sequence[NcPoly]) -> NcPoly:
-    """Average of the product over all orderings of the factor list."""
+    """Average of the product over all orderings of the factor list.
+
+    The average depends only on the multiset of factors (McCoy's symmetric
+    ordering rule), so it is a sum over distinct arrangements. With m_i
+    copies of the distinct factor f_i and n factors in all, it is
+    (prod m_i! / n!) S(m), where S(c) is the sum of the products of the
+    distinct arrangements of the multiset c, grouped by their last factor:
+    S(c) = sum over i with c_i > 0 of S(c - e_i) f_i, and S(e_i) = f_i.
+    Each sub-multiset is summed once, so n distinct factors take fewer than
+    n 2^(n-1) products of a partial sum by a factor where the n! orderings
+    take n - 1 products each, and ``{T H H H H H}`` takes 14 where its 720
+    orderings would take 3600.
+    """
     if not factors:
         raise ValueError("symmetrize needs at least one factor")
-    n = len(factors)
-    products = (reduce(mul, (factors[k] for k in order)) for order in permutations(range(n)))
-    return NcPoly.total(products) / factorial(n)
+    distinct: list[NcPoly] = []
+    counts: list[int] = []
+    for f in factors:
+        if f in distinct:
+            counts[distinct.index(f)] += 1
+        else:
+            distinct.append(f)
+            counts.append(1)
+    zero = (0,) * len(distinct)
+    memo = {zero[:i] + (1,) + zero[i + 1:]: f._terms for i, f in enumerate(distinct)}
+
+    def arrangements(c: tuple[int, ...]) -> dict[Word, Coeff]:
+        if c not in memo:
+            terms: dict[Word, Coeff] = {}
+            for i, k in enumerate(c):
+                if k:
+                    last = distinct[i]._terms.items()
+                    for w1, c1 in arrangements(c[:i] + (k - 1,) + c[i + 1:]).items():
+                        for w2, c2 in last:
+                            add_into(terms, w1 + w2, c1 * c2)
+            memo[c] = terms
+        return memo[c]
+
+    weight = narrow(Fraction(prod(map(factorial, counts)), factorial(len(factors))))
+    return NcPoly({w: c * weight for w, c in arrangements(tuple(counts)).items()})
 
 
 # -- second constraint -------------------------------------------------------

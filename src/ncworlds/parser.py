@@ -22,17 +22,23 @@ returns the same tree; printing a parse is normalizing.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .constraints import symmetrize
 from .ncpoly import Generator, NcPoly, commutator
-from .quotient import NAMED_SYSTEMS, RewriteSystem, reduce_poly
+from .quotient import NAMED_SYSTEMS, RewriteSystem, _normalizer
 from .scalar import Scalar
 
 DEFAULT_PARAMS = frozenset({"hbar", "m", "dt", "tau", "k", "Delta"})
-# A symmetrized product of n factors expands into n! products.
+# A symmetrized product sums over the distinct arrangements of its factors:
+# n!/prod(m_i!) for multiplicities m_i, so 40320 for eight distinct factors.
 MAX_SYMM_FACTORS = 8
+# Parsing, evaluating and printing recurse once or more per open bracket;
+# this keeps the deepest nesting well inside Python's recursion limit.
+MAX_NESTING = 200
 
 
 class ParseError(ValueError):
@@ -146,6 +152,7 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokens(src)
         self.pos = 0
+        self.depth = 0  # brackets open at the current token
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -208,21 +215,31 @@ class _Parser:
         if tok.kind == "number":
             self.advance()
             try:
-                return Num(Fraction(tok.text))
+                return Num(_literal(Fraction, tok.text, tok))
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {tok.text!r}", tok.line, tok.col) from None
         if tok.kind == "name":
             self.advance()
             return self._name_node(tok)
-        if tok.kind == "punct" and tok.text == "[":
+        if tok.kind == "punct" and tok.text in "[{(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"brackets nest at most {MAX_NESTING} deep")
+            self.depth += 1
             self.advance()
+            node = self._bracketed(tok.text)
+            self.depth -= 1
+            return node
+        self.fail(f"found {tok.text!r}" if tok.text else "unexpected end of input",
+                  ("number", "name", "[", "{", "("))
+
+    def _bracketed(self, opening: str):
+        if opening == "[":
             a = self.parse_expr()
             self.expect(",")
             b = self.parse_expr()
             self.expect("]")
             return Comm(a, b)
-        if tok.kind == "punct" and tok.text == "{":
-            self.advance()
+        if opening == "{":
             factors = [self.parse_factor()]
             while self._starts_factor():
                 if len(factors) == MAX_SYMM_FACTORS:
@@ -230,13 +247,9 @@ class _Parser:
                 factors.append(self.parse_factor())
             self.expect("}")
             return Symm(tuple(factors))
-        if tok.kind == "punct" and tok.text == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        self.fail(f"found {tok.text!r}" if tok.text else "unexpected end of input",
-                  ("number", "name", "[", "{", "("))
+        inner = self.parse_expr()
+        self.expect(")")
+        return inner
 
     def _name_node(self, tok: Token):
         marker, index, deriv, primes = tok.match.group("marker", "index", "deriv", "primes")
@@ -246,7 +259,7 @@ class _Parser:
             if deriv is not None or primes:
                 raise ParseError(f"parameter {tok.text!r} takes only an exponent",
                                  tok.line, tok.col)
-            exp = int(index) if index else 1
+            exp = _literal(int, index, tok) if index else 1
             if exp == 0:
                 raise ParseError("zero exponent", tok.line, tok.col)
             return Param(tok.text, exp)
@@ -254,6 +267,16 @@ class _Parser:
             raise ParseError("generator indices cannot be negative", tok.line, tok.col)
         return Generator(tok.text, tuple(map(int, index or "")),
                          tuple(map(int, deriv or "")), len(primes))
+
+
+def _literal(convert, digits: str, tok: Token):
+    """``convert(digits)``, with CPython's limit on the digits of an integer
+    string (the only ValueError the token pattern leaves) located at ``tok``."""
+    try:
+        return convert(digits)
+    except ValueError:
+        raise ParseError(f"a literal takes at most {sys.get_int_max_str_digits()} digits",
+                         tok.line, tok.col) from None
 
 
 def parse(src: str):
@@ -307,13 +330,24 @@ def _factor_text(e) -> str:
 
 def evaluate(e, system: RewriteSystem | None = None,
              max_steps: int | None = None) -> NcPoly:
-    poly = _eval(e)
-    if system is not None and system.rules:
-        poly = reduce_poly(poly, system, max_steps)
+    """The value of ``e``, in normal form when ``system`` has rules.
+
+    A confluent system's normal form is an algebra map, so each product,
+    commutator and symmetrizer is reduced as soon as it is formed, all under
+    one step budget, instead of multiplying everything out first."""
+    if system is None or not system.rules:
+        return _eval(e, _unreduced)
+    nf = _normalizer(system, max_steps)
+    poly = _eval(e, nf)
+    # a product, commutator or symmetrizer comes back reduced already
+    return poly if isinstance(e, (Prod, Comm, Symm)) else nf(poly)
+
+
+def _unreduced(poly: NcPoly) -> NcPoly:
     return poly
 
 
-def _eval(e) -> NcPoly:
+def _eval(e, nf: Callable[[NcPoly], NcPoly]) -> NcPoly:
     if isinstance(e, Num):
         return NcPoly.from_scalar(e.value)
     if isinstance(e, ImagUnit):
@@ -323,17 +357,17 @@ def _eval(e) -> NcPoly:
     if isinstance(e, Generator):
         return NcPoly.from_word((e,))
     if isinstance(e, Prod):
-        out = NcPoly.one()
-        for f in e.factors:
-            out = out * _eval(f)
+        out = _eval(e.factors[0], nf)
+        for f in e.factors[1:]:
+            out = nf(out * _eval(f, nf))
         return out
     if isinstance(e, Sum):
-        return NcPoly.total(_eval(part) if sign > 0 else -_eval(part)
+        return NcPoly.total(_eval(part, nf) if sign > 0 else -_eval(part, nf)
                             for sign, part in e.parts)
     if isinstance(e, Comm):
-        return commutator(_eval(e.a), _eval(e.b))
+        return nf(commutator(_eval(e.a, nf), _eval(e.b, nf)))
     if isinstance(e, Symm):
-        return symmetrize([_eval(f) for f in e.factors])
+        return nf(symmetrize([_eval(f, nf) for f in e.factors]))
     raise TypeError(f"not an expression node: {e!r}")
 
 

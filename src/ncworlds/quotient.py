@@ -16,14 +16,27 @@ word, else the sum of c' NF(w') over the terms c' w' of its rewrite.
 NF(a w + b w) = (a + b) NF(w): the result is the same as following every
 rewrite path apart, confluent system or not, and cancelled words cost nothing.
 
-Every rewrite counts against one step budget per call: the ``max_steps``
-argument when given, else ``NCWORLDS_MAX_STEPS``, else ``DEFAULT_STEP_LIMIT``.
+A terminating system is confluent when every word has one normal form
+whichever rule and position is rewritten first; by Newman's lemma it is
+enough that the one-step rewrites of each word share a normal form, and by
+Bergman's diamond lemma only the words where two rule spans overlap or nest
+can fail (Knuth and Bendix, 1970). ``check_confluence`` tests this on every
+word up to a length over a representative alphabet; every named system
+passes. In a confluent system NF is an algebra map, NF(ab) = NF(NF(a) NF(b)),
+so an expression may be reduced at each product node instead of once after
+multiplying everything out, which is how ``parser.evaluate`` works.
+
+Every rewrite counts against one step budget per call of ``reduce_poly``, or
+per evaluation of a whole expression by ``parser.evaluate``: the
+``max_steps`` argument when given, else ``NCWORLDS_MAX_STEPS``, else
+``DEFAULT_STEP_LIMIT``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .ncpoly import G, Generator, NcPoly, Word, commutator, word_text
@@ -86,25 +99,37 @@ def step_limit(explicit: int | None = None) -> int:
 
 def reduce_poly(e: NcPoly, system: RewriteSystem, max_steps: int | None = None) -> NcPoly:
     """Normal form of ``e``: the fixpoint of leftmost-first rule application."""
+    return _normalizer(system, max_steps)(e)
+
+
+def _normalizer(system: RewriteSystem, max_steps: int | None = None,
+                ) -> Callable[[NcPoly], NcPoly]:
+    """The normal-form map of ``system``; every call counts its rewrites
+    against one shared step budget."""
     limit = step_limit(max_steps)
     steps = 0
-    out: dict[Word, Coeff] = {}
-    pending: dict[Word, Coeff] = e._terms
-    while pending:
-        pending, rewriting = {}, pending
-        for w, c in rewriting.items():
-            match = _first_match(w, system)
-            if match is None:
-                add_into(out, w, c)
-                continue
-            steps += 1
-            if steps > limit:
-                raise ReductionError(system.name, w, limit)
-            i, span, repl = match
-            prefix, suffix = w[:i], w[i + span:]
-            for w2, c2 in repl:
-                add_into(pending, prefix + w2 + suffix, c * c2)
-    return NcPoly(out)
+
+    def normal_form(e: NcPoly) -> NcPoly:
+        nonlocal steps
+        out: dict[Word, Coeff] = {}
+        pending: dict[Word, Coeff] = e._terms
+        while pending:
+            pending, rewriting = {}, pending
+            for w, c in rewriting.items():
+                match = _first_match(w, system)
+                if match is None:
+                    add_into(out, w, c)
+                    continue
+                steps += 1
+                if steps > limit:
+                    raise ReductionError(system.name, w, limit)
+                i, span, repl = match
+                prefix, suffix = w[:i], w[i + span:]
+                for w2, c2 in repl:
+                    add_into(pending, prefix + w2 + suffix, c * c2)
+        return e._like(out)
+
+    return normal_form
 
 
 def _first_match(w: Word, system: RewriteSystem) -> tuple[int, int, Terms] | None:
@@ -124,6 +149,29 @@ def subword_rule(pattern: Word, replacement: NcPoly) -> Rule:
         return hit if w[i:i + span] == pattern else None
 
     return rule
+
+
+def check_confluence(system: RewriteSystem, alphabet: Sequence[Generator],
+                     max_len: int) -> Word | None:
+    """The first word over ``alphabet``, by length then alphabet order, up to
+    ``max_len`` letters, whose one-step rewrites (every rule at every position
+    where it fires) do not all reduce to one normal form; None when there is
+    none. With a terminating system and ``max_len`` covering every overlap of
+    two rule spans, None means the system is confluent on that alphabet."""
+    for n in range(1, max_len + 1):
+        for w in product(alphabet, repeat=n):
+            forms = set()
+            for i in range(n):
+                for rule in system.rules:
+                    hit = rule(w, i)
+                    if hit is not None:
+                        span, repl = hit
+                        step = NcPoly.total(NcPoly.from_word(w[:i] + w2 + w[i + span:], c)
+                                            for w2, c in repl)
+                        forms.add(reduce_poly(step, system))
+            if len(forms) > 1:
+                return w
+    return None
 
 
 # -- the worlds --------------------------------------------------------------

@@ -286,3 +286,16 @@ def test_each_world_has_one_name(capsys):
     # the error and the --json output name the same world
     code, _, err = run(capsys, "reduce", "B A B A B A", "--world", "abc", "--max-steps", "1")
     assert code == 1 and "system 'abc'" in err
+
+
+@pytest.mark.parametrize("src, loc", [
+    ("(" * 400 + "A" + ")" * 400, "1:201"),     # past the nesting bound
+    ("X + " + "1" * 5000, "1:5"),               # past CPython's digit limit
+    ("hbar^" + "1" * 5000 + " X", "1:1"),
+], ids=["nesting", "number", "exponent"])
+def test_oversized_input_is_a_located_syntax_error(capsys, src, loc):
+    code, out, err = run(capsys, "reduce", src)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: syntax error at {loc}: ")
+    assert "Traceback" not in err

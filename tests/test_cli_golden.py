@@ -55,6 +55,11 @@ GOLDEN = [
     (["tower", "--levels", "20", "--json"], 0, "deda6ea58ae068c50676e0810882568c150697e54c822cddad50bc3791aa4a59"),
     (["reduce", "P_1 H theta", "--world", "flat-fn", "--json"], 0, "32062194e1e64ec444c4095f829c6903be5d1128a472b726ecbed761f5e17965"),
     (["reduce", "P_1 theta", "--world", "flat"], 0, "207c39b71eaa1163e13edec822fbbe9b0cc6de4f6c8f09274aed244b0c5b54d0"),
+    (["reduce", " ".join(["(Q^1 P_1)"] * 10), "--world", "flat", "--json"], 0, "96d8d7e57837cd29b05a156a7aa4097aaea6af04736a5fdf88abba0c8bb8a181"),
+    (["reduce", " ".join(["P_1"] * 6 + ["Q^1"] * 6), "--world", "flat", "--json"], 0, "2068efba513e27c12538253f73249a4a29f71ffe455a006d8fb1c8708f518db7"),
+    (["reduce", "P_2 P_2 P_2 theta Q^2", "--world", "flat-fn", "--json"], 0, "92b97017902e603241d533387ca362ada2298e9a094727512d1c9bceabbd6887"),
+    (["reduce", "{T H H H H H}", "--json"], 0, "1f72921ac18f1f2b3d22b47fa84ed150a064d00b194986a38ca99e1019530010"),
+    (["reduce", "{A B C A}", "--world", "abc", "--json"], 0, "899afb67779e80d9360daa085f39315d1af9df157a4b04727671dab055acffb2"),
 ]
 
 

@@ -312,3 +312,47 @@ def test_match_ratio_skips_missing_and_parameter_words():
     assert isinstance(three.coeff((G("A"),)), Scalar)
     assert _match_ratio(three, a.scaled(4)) == Fraction(3, 4)
     assert _match_ratio(b, a) is None
+
+
+def partitions(n, largest=None):
+    """The multiplicity shapes of n factors: partitions of n, largest first."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k,) + rest
+
+
+def brute_force_symmetrize(factors):
+    """Sum of the product over every ordering of the list, divided by n!."""
+    total, count = NcPoly.zero(), 0
+    for order in permutations(factors):
+        product = NcPoly.one()
+        for f in order:
+            product = product * f
+        total, count = total + product, count + 1
+    return total.scaled(Fraction(1, count))
+
+
+def test_partitions_oracle_itself():
+    assert [sum(1 for _ in partitions(n)) for n in range(1, 7)] == [1, 2, 3, 5, 7, 11]
+
+
+# distinct factors, several of them not single generators
+SHAPE_FACTORS = (
+    NcPoly.gen("A"),
+    NcPoly.gen("B") + NcPoly.gen("C").scaled(2),
+    NcPoly.from_scalar(Fraction(-1, 3)) + NcPoly.gen("A") * NcPoly.gen("C"),
+    NcPoly.gen("D").scaled(Scalar.param("hbar")),
+    NcPoly.gen("C"),
+    NcPoly.gen("A") - NcPoly.gen("B"),
+)
+
+
+@pytest.mark.parametrize("shape", [s for n in range(1, 7) for s in partitions(n)],
+                         ids=lambda s: "-".join(map(str, s)))
+def test_symmetrize_matches_the_permutation_average_for_every_shape(shape):
+    factors = [f for f, m in zip(SHAPE_FACTORS, shape) for _ in range(m)]
+    random.Random(len(factors)).shuffle(factors)
+    assert symmetrize(factors) == brute_force_symmetrize(factors)

@@ -1,5 +1,6 @@
 import random
 import string
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ncworlds.ncpoly import G, NcPoly
 from ncworlds.parser import (Comm, ImagUnit, Num, Param, ParseError, Prod, Sum,
                              Symm, evaluate, parse, print_expr, world)
+from ncworlds.quotient import ReductionError, reduce_poly
 from ncworlds.scalar import Scalar
 
 
@@ -186,3 +188,80 @@ def test_non_ascii_numerals_are_located_parse_errors(src, col):
 
 def test_non_ascii_letters_are_names():
     assert parse("θ é'") == Prod((G("θ"), G("é", primes=1)))
+
+
+@pytest.mark.parametrize("opening, closing, value", [
+    ("(A ", ")", NcPoly.from_word((G("A"),) * 200 + (G("B"),))),
+    ("[1, ", "]", NcPoly.zero()),
+    ("{1 ", "}", NcPoly.gen("B")),
+], ids=["paren", "commutator", "symmetrizer"])
+def test_bracket_nesting_is_bounded_at_the_opening_bracket(opening, closing, value):
+    deepest = parse(opening * 200 + "B" + closing * 200)
+    assert parse(print_expr(deepest)) == deepest
+    assert evaluate(deepest, world("flat")) == value
+    with pytest.raises(ParseError) as err:
+        parse(opening * 201 + "B" + closing * 201)
+    assert (err.value.line, err.value.col) == (1, 200 * len(opening) + 1)
+    assert "200" in str(err.value)
+
+
+@pytest.mark.parametrize("src, col", [
+    ("9" * 5000, 1),
+    ("X + 1/" + "3" * 5000, 5),
+    ("A\n hbar^" + "2" * 5000, 2),
+], ids=["number", "denominator", "exponent"])
+def test_over_long_literals_are_located_parse_errors(src, col):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert (err.value.line, err.value.col) == (src.count("\n") + 1, col)
+
+
+def test_literals_up_to_the_digit_limit_parse():
+    limit = sys.get_int_max_str_digits()
+    assert parse("7" * limit) == Num(Fraction("7" * limit))
+    assert parse("hbar^-" + "1" * limit) == Param("hbar", -int("1" * limit))
+
+
+# expression text over each world's letters: products, sums, commutators,
+# symmetrizers and parentheses, with small rational constants
+WORLD_LETTERS = {
+    "flat": ("Q^1", "Q^2", "P_1", "P_2", "2", "1/2"),
+    "flat-fn": ("Q^1", "P_1", "P_2", "theta", "g_12", "(-1/3)"),
+    "abc": ("A", "B", "C", "3"),
+}
+
+
+def expression_text(letters):
+    def grow(inner):
+        return st.one_of(
+            st.lists(inner, min_size=2, max_size=3).map(" ".join),
+            st.tuples(inner, st.sampled_from((" + ", " - ")), inner).map("".join),
+            st.tuples(inner, inner).map(lambda t: f"[{t[0]}, {t[1]}]"),
+            st.lists(inner, min_size=1, max_size=3).map(
+                lambda fs: "{" + " ".join(f"({f})" for f in fs) + "}"),
+            inner.map(lambda x: f"({x})"),
+        )
+
+    return st.recursive(st.sampled_from(letters), grow, max_leaves=8)
+
+
+@pytest.mark.parametrize("name", sorted(WORLD_LETTERS))
+def test_reducing_at_product_nodes_equals_reducing_once(name):
+    system = world(name)
+
+    @settings(max_examples=400, deadline=None)
+    @given(expression_text(WORLD_LETTERS[name]))
+    def check(text):
+        e = parse(text)
+        assert evaluate(e, system) == reduce_poly(evaluate(e), system)
+
+    check()
+
+
+def test_one_step_budget_covers_the_whole_evaluation():
+    # each commutator takes one step, so the sum needs two
+    e = parse("[P_1, Q^1] + [P_2, Q^2]")
+    assert evaluate(e, world("flat"), max_steps=2) == NcPoly.one().scaled(-2)
+    with pytest.raises(ReductionError) as err:
+        evaluate(e, world("flat"), max_steps=1)
+    assert err.value.word == (G("P", 2), G("Q", 2)) and err.value.limit == 1

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncworlds.ncpoly import G, NcPoly, commutator
-from ncworlds.quotient import (ABC, FLAT, FLAT_FN, P, Q, ReductionError, RewriteSystem,
-                               flat_partial_p, flat_partial_q, formal_partial_p,
-                               formal_partial_q, gauge_curvature_residual,
-                               hamilton_check, reduce_poly,
+from ncworlds.parser import evaluate, parse
+from ncworlds.quotient import (ABC, FLAT, FLAT_FN, NAMED_SYSTEMS, P, Q, ReductionError,
+                               RewriteSystem, check_confluence, flat_partial_p,
+                               flat_partial_q, formal_partial_p, formal_partial_q,
+                               gauge_curvature_residual, hamilton_check, reduce_poly,
                                schroedinger_residual, subword_rule)
 
 POOL = (G("Q", 1), G("Q", 2), G("P", 1), G("P", 2))
@@ -220,5 +221,55 @@ def test_reduction_is_linear(name):
     def check(a, b):
         assert (reduce_poly(a + b, system)
                 == reduce_poly(a, system) + reduce_poly(b, system))
+
+    check()
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_stirling_normal_ordering_through_evaluate(n):
+    s = stirling2_row(n)
+    expected = NcPoly.total((Q(1) ** k * P(1) ** k).scaled((-1) ** (n + k) * s[k])
+                            for k in range(1, n + 1))
+    assert evaluate(parse(" ".join(["(Q^1 P_1)"] * n)), FLAT) == expected
+
+
+# (alphabet, longest word) per named system: the alphabet has a letter of
+# every class the rules tell apart, and the length covers every overlap of
+# two rule spans (2 + 2 - 1 in flat and flat-fn, 3 + 3 - 1 in abc)
+CONFLUENCE_CASES = {
+    "free": ((G("A"), G("B")), 2),
+    "flat": (POOL + (G("H"), G("theta", derivs=(1,))), 3),
+    "flat-fn": (POOL + (G("theta"), G("theta", derivs=(1,)), G("g", 1, 2)), 3),
+    "abc": ((G("A"), G("B"), G("C")), 5),
+}
+
+
+def test_every_named_system_has_a_confluence_case():
+    assert set(CONFLUENCE_CASES) == set(NAMED_SYSTEMS)
+
+
+@pytest.mark.parametrize("name", sorted(CONFLUENCE_CASES))
+def test_named_systems_are_confluent(name):
+    alphabet, max_len = CONFLUENCE_CASES[name]
+    assert check_confluence(NAMED_SYSTEMS[name], alphabet, max_len) is None
+
+
+def test_confluence_check_rejects_a_non_confluent_system():
+    a, b, c = G("A"), G("B"), G("C")
+    toy = RewriteSystem("toy", (subword_rule((a, b), NcPoly.from_word((c,))),
+                                subword_rule((b, c), NcPoly.from_word((a,)))))
+    # A B C rewrites to C C or to A A, and both are irreducible
+    assert check_confluence(toy, (a, b, c), 2) is None
+    assert check_confluence(toy, (a, b, c), 3) == (a, b, c)
+
+
+@pytest.mark.parametrize("name", sorted(LINEARITY_POOLS))
+def test_reduction_is_an_algebra_map(name):
+    system, pool = LINEARITY_POOLS[name]
+
+    @given(small_polys(pool), small_polys(pool))
+    def check(a, b):
+        assert (reduce_poly(a * b, system)
+                == reduce_poly(reduce_poly(a, system) * reduce_poly(b, system), system))
 
     check()

@@ -8,6 +8,14 @@ square root of minus one); in general the algebra is isomorphic to full
 n x n matrix algebra, and any square matrix splits into permutation-scaled
 diagonals with a 1/(n-1)! factor. Diagonal and matrix entries are
 ``int | Fraction | Scalar`` by the storage rule of ``ncworlds.scalar``.
+
+``IterantElement(order, terms)`` checks every key and narrows every entry of
+what it is given. Results the module builds itself (products, the n! terms
+of ``matrix_decompose``) are canonical by construction and go through the
+trusted ``IterantElement._make``, which checks nothing. The split scales the
+n^2 matrix entries by 1/(n-1)! once and indexes into them, and the way back
+(``to_matrix``) sums rational entries as ``int`` numerators over one common
+denominator, so neither pays a ``Fraction`` operation per term.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, Sequence
 
-from .scalar import Coeff, Scalar, narrow, reciprocal, text
+from .scalar import Coeff, Scalar, narrow, over_common_denominator, reciprocal, text
 from .sparse import SparseSum, add_into
 
 # Permutations in one-line notation, zero-based: perm[i] is where row i looks.
@@ -72,10 +80,18 @@ class IterantElement(SparseSum):
                 raise ValueError(f"not a permutation of 0..{order - 1}: {p}")
         super().__init__({p: Diagonal(map(narrow, v)) for p, v in terms.items()})
 
-    def _like(self, terms: dict) -> "IterantElement":
-        out = super()._like(terms)
-        out.order = self.order
+    @staticmethod
+    def _make(order: int, terms: dict) -> "IterantElement":
+        """An element holding ``terms``, which must already be canonical:
+        permutation keys of ``order`` mapped to nonzero ``Diagonal`` vectors
+        of narrowed entries. The dict is kept, not copied or checked."""
+        out = object.__new__(IterantElement)
+        out._terms = terms
+        out.order = order
         return out
+
+    def _like(self, terms: dict) -> "IterantElement":
+        return IterantElement._make(self.order, terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -155,12 +171,24 @@ class IterantElement(SparseSum):
         return a.bar() - b * eta()
 
     def to_matrix(self) -> "Matrix":
+        """The n x n matrix with cell (i, p[i]) the sum of entry i of every
+        diagonal of permutation p. Rational entries are summed as ``int``
+        numerators over their common denominator, with one ``Fraction`` per
+        cell; a ``Scalar`` among them is added as it is."""
         n = self.order
         rows = [[0] * n for _ in range(n)]
-        for p, v in self._terms.items():
+        scaled = over_common_denominator(x for v in self._terms.values() for x in v)
+        if scaled is None:
+            for p, v in self._terms.items():
+                for i in range(n):
+                    rows[i][p[i]] += v[i]
+            return Matrix(rows)
+        nums, den = scaled
+        nums = iter(nums)
+        for p in self._terms:
             for i in range(n):
-                rows[i][p[i]] += v[i]
-        return Matrix(rows)
+                rows[i][p[i]] += next(nums)
+        return Matrix([[Fraction(c, den) for c in row] for row in rows])
 
     def to_text(self) -> str:
         if not self._terms:
@@ -242,16 +270,20 @@ def matrix_decompose(m: Matrix) -> IterantElement:
     Sums diag(m[1, p1], ..., m[n, pn]) [p] over all n! permutations and
     scales by 1/(n-1)!; mapping back to a matrix reproduces the input
     exactly because each entry is hit by exactly (n-1)! permutations.
+    The n^2 entries are scaled once, each diagonal indexes into them and an
+    all-zero diagonal is dropped; the result is built trusted, unchecked.
     """
     n = m.n
     if n < 1:
         raise ValueError("empty matrix")
     factor = reciprocal(math.factorial(n - 1))
-    terms: dict[Perm, tuple[Coeff, ...]] = {}
+    scaled = [[narrow(x * factor) for x in row] for row in m.rows]
+    terms: dict[Perm, Diagonal] = {}
     for p in permutations(range(n)):
-        vec = tuple(m.rows[i][p[i]] * factor for i in range(n))
-        terms[p] = vec
-    return IterantElement(n, terms)
+        vec = Diagonal(map(list.__getitem__, scaled, p))
+        if vec:
+            terms[p] = vec
+    return IterantElement._make(n, terms)
 
 
 # -- quaternions ------------------------------------------------------------

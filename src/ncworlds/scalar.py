@@ -15,8 +15,10 @@ This module also holds the storage rule that every element type follows for
 its coefficients (``Coeff``): a rational constant is stored as a plain
 ``int``, or as a ``Fraction`` when its denominator is not 1, and a value is
 a ``Scalar`` only when it carries a parameter or ``i``. ``narrow`` applies
-the rule, ``text`` prints a stored coefficient and ``reciprocal`` inverts
-one. Constructors store the ``int`` form. The kinds mix through Python's
+the rule, ``text`` prints a stored coefficient, ``reciprocal`` inverts
+one and ``over_common_denominator`` puts rational ones over one
+denominator, so that a long sum of them is a sum of plain ``int`` values.
+Constructors store the ``int`` form. The kinds mix through Python's
 operators, and arithmetic keeps whatever type they return without
 narrowing again: ``A/2 + A/2`` stores ``Fraction(1, 1)`` and
 ``hbar * hbar^-1`` the ``Scalar`` 1. ``==``, ``hash`` and the text output
@@ -26,8 +28,9 @@ and prints as ``1``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .sparse import SparseSum, add_into
 
@@ -219,17 +222,17 @@ class Scalar(SparseSum):
 
 def _gaussian_text(re: Fraction, im: Fraction) -> str:
     if not im:
-        return str(re)
+        return text(re)
     if not re:
         if im == 1:
             return "i"
         if im == -1:
             return "-i"
-        return f"{im}i"
+        return f"{text(im)}i"
     sign = "+" if im > 0 else "-"
     mag = abs(im)
-    itxt = "i" if mag == 1 else f"{mag}i"
-    return f"({re} {sign} {itxt})"
+    itxt = "i" if mag == 1 else f"{text(mag)}i"
+    return f"({text(re)} {sign} {itxt})"
 
 
 def _term_text(mono: Monomial, re: Fraction, im: Fraction) -> str:
@@ -275,11 +278,47 @@ def narrow(value: Coeff) -> Coeff:
 
 
 def text(value: Coeff) -> str:
-    """The canonical text of a stored coefficient."""
-    return value.to_text() if isinstance(value, Scalar) else str(value)
+    """The canonical text of a stored coefficient, however many digits it
+    has."""
+    if isinstance(value, Scalar):
+        return value.to_text()
+    try:
+        return str(value)
+    except ValueError:  # past CPython's limit on the digits of one conversion
+        num, den = value.as_integer_ratio()
+        return _digits(num) if den == 1 else f"{_digits(num)}/{_digits(den)}"
+
+
+def _digits(n: int) -> str:
+    """``str(n)`` built from halves that each stay under CPython's limit on
+    the digits of one int-to-string conversion, which is left as it is."""
+    if n < 0:
+        return "-" + _digits(-n)
+    try:
+        return str(n)
+    except ValueError:
+        low = n.bit_length() * 3 // 20       # about half of the digits
+        high, rest = divmod(n, 10 ** low)
+        return _digits(high) + _digits(rest).rjust(low, "0")
 
 
 def reciprocal(value: Coeff) -> Coeff:
     """The exact inverse of a coefficient, stored by the same rule; a plain
     number is inverted as a ``Fraction``, since ``1 / n`` would be a float."""
     return narrow(value.inverse() if isinstance(value, Scalar) else 1 / _fraction(value))
+
+
+def over_common_denominator(values: Iterable[Coeff]) -> tuple[list[int], int] | None:
+    """Rational coefficients as ``int`` numerators over their least common
+    denominator, in order, or ``None`` when a ``Scalar`` is among them.
+
+    Sums of the numerators are exact ``int`` sums, with no ``gcd`` per step:
+    ``Fraction(sum(nums), den)`` is the sum of ``values``.
+    """
+    ratios = []
+    for x in values:
+        if isinstance(x, Scalar):
+            return None
+        ratios.append(x.as_integer_ratio())
+    den = math.lcm(*{d for _, d in ratios})
+    return [num * (den // d) for num, d in ratios], den

@@ -299,3 +299,26 @@ def test_oversized_input_is_a_located_syntax_error(capsys, src, loc):
     assert out == ""
     assert err.startswith(f"error: syntax error at {loc}: ")
     assert "Traceback" not in err
+
+
+def _decode(digits: str) -> int:
+    """An int from its decimal text, read in pieces that each stay well under
+    the interpreter's limit on one string conversion."""
+    value = 0
+    for start in range(0, len(digits), 1000):
+        piece = digits[start:start + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def test_output_coefficients_past_the_digit_limit_are_printed(capsys):
+    a, b = "7" * 3000, "3" * 3000
+    code, out, err = run(capsys, "reduce", f"{a} {b}")
+    assert code == 0 and err == ""
+    assert _decode(out.strip()) == _decode(a) * _decode(b)
+    code, out, err = run(capsys, "reduce", f"i {a} {b} X - hbar {a} Y", "--json")
+    assert code == 0 and err == ""
+    form = json.loads(out)["normal_form"]
+    coeff, _, word = form.partition(") ")
+    assert word.startswith("X") and coeff.endswith("i")
+    assert _decode(coeff[1:-1]) == _decode(a) * _decode(b)

@@ -60,6 +60,12 @@ GOLDEN = [
     (["reduce", "P_2 P_2 P_2 theta Q^2", "--world", "flat-fn", "--json"], 0, "92b97017902e603241d533387ca362ada2298e9a094727512d1c9bceabbd6887"),
     (["reduce", "{T H H H H H}", "--json"], 0, "1f72921ac18f1f2b3d22b47fa84ed150a064d00b194986a38ca99e1019530010"),
     (["reduce", "{A B C A}", "--world", "abc", "--json"], 0, "899afb67779e80d9360daa085f39315d1af9df157a4b04727671dab055acffb2"),
+    # n = 4 to 7 with zeros; the n = 5 zero-row matrix leaves 96 of 120 diagonals
+    (["matrix", "decompose", "[[0, \"1/2\", -3, \"2/7\"], [5, 0, \"-4/9\", 1], [\"3/8\", 2, 0, \"-1/6\"], [-7, \"5/3\", 4, 0]]"], 0, "64bab7ea93a921bff673bebe3eeb6ace4a2f6cea82fd13b174a32684ce46b208"),
+    (["matrix", "decompose", "[[\"1/3\", 0, -2, \"4/5\", 7], [0, \"-1/2\", 3, 0, \"5/9\"], [6, \"2/3\", 0, -1, 0], [0, 0, \"7/4\", 2, \"-3/8\"], [\"-5/6\", 1, 0, 0, 9]]"], 0, "c64a1229b312c65fb73a5450a05484ff07b85ab4a0525a38c73e5412304da4ce"),
+    (["matrix", "decompose", "[[0, \"2/1\", 0, \"-2/1\", 0, \"1/1\"], [0, \"-2/2\", \"3/3\", 0, \"-1/5\", \"-3/1\"], [\"3/1\", \"1/3\", 0, \"-3/2\", \"2/4\", 0], [\"-1/1\", 0, \"2/2\", 0, \"-2/3\", 0], [0, 0, \"-2/4\", \"3/3\", 0, \"-1/1\"], [\"-2/1\", \"3/1\", \"1/1\", 0, \"-3/1\", \"2/1\"]]"], 0, "b68e9af15f2512c7fefc99eca17655f05c454e657ce134b42543b1eded2b78f0"),
+    (["matrix", "decompose", "[[0, \"-3/2\", \"-1/3\", \"1/4\", \"3/5\", 0, \"-4/1\"], [\"2/2\", \"4/3\", 0, \"-3/5\", \"-1/6\", \"1/1\", \"3/2\"], [\"-2/3\", \"0/4\", \"2/5\", \"4/6\", 0, \"-3/2\", \"-1/3\"], [\"5/4\", 0, \"-2/6\", \"0/1\", \"2/2\", \"4/3\", 0], [\"1/5\", \"3/6\", \"5/1\", 0, \"-2/3\", \"0/4\", \"2/5\"], [0, \"-1/1\", \"1/2\", \"3/3\", \"5/4\", 0, \"-2/6\"], [\"4/1\", \"-5/2\", 0, \"-1/4\", \"1/5\", \"3/6\", \"5/1\"]]"], 0, "a1129b94df67a1b3b8ee049794fafc088b6ed11fda7dab381fa7bb9b64ab8b96"),
+    (["matrix", "decompose", "[[0, \"1/2\", 0, 0, -3], [0, 0, 0, 0, 0], [\"2/3\", 0, 0, 4, 0], [0, 0, \"-5/7\", 0, 0], [1, 0, 0, 0, \"3/4\"]]"], 0, "ccbdf597a60d8d34bc4593b69002e36864a58b38e93221ffabfc9bdae98495ed"),
 ]
 
 

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -263,3 +264,32 @@ def test_decomposition_divides_exactly():
         assert all(type(x) in (int, Fraction) for _, v in dec.terms() for x in v)
         assert all(type(x) is int for r in dec.to_matrix().rows for x in r)
         assert dec.to_matrix() == m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_decomposition_of_a_parameter_matrix_reconstructs(n):
+    # a distinct parameter in each of the n^2 slots keeps every cell a Scalar
+    m = Matrix([[Scalar.param(f"m{i}{j}") for j in range(n)] for i in range(n)])
+    dec = matrix_decompose(m)
+    assert len(dec.terms()) == math.factorial(n)
+    assert dec.to_matrix() == m
+
+
+def test_decomposition_drops_all_zero_diagonals():
+    # only the (n-1)! = 2 diagonals through the one nonzero entry remain
+    m = Matrix([[0, 0, 0], [0, 5, 0], [0, 0, 0]])
+    dec = matrix_decompose(m)
+    assert sorted(p for p, _ in dec.terms()) == [(0, 1, 2), (2, 1, 0)]
+    assert dec.to_matrix() == m
+    assert matrix_decompose(Matrix([[0, 0], [0, 0]])).is_zero()
+
+
+@pytest.mark.parametrize("terms, message", [
+    ({(0, 0, 2): (1, 2, 3)}, "not a permutation"),
+    ({(0, 1, 3): (1, 2, 3)}, "not a permutation"),
+    ({(0, 1, 2): (1, 2)}, "length mismatch"),
+    ({(0, 1, 2): (1, 2, 3, 4)}, "length mismatch"),
+])
+def test_constructor_still_checks_its_input(terms, message):
+    with pytest.raises(ValueError, match=message):
+        IterantElement(3, terms)

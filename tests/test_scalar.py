@@ -3,9 +3,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncworlds.ncpoly import NcPoly
-from ncworlds.scalar import Scalar, narrow
+from ncworlds.scalar import Scalar, narrow, over_common_denominator, text
 
 
 def test_gaussian_unit_squares_to_minus_one():
@@ -171,3 +172,49 @@ def test_narrow_gives_plain_rationals_and_keeps_other_scalars():
         assert narrow(value) is value
     with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
         narrow(0.5)
+
+
+rationals = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=10**12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, max_size=40))
+def test_common_denominator_sums_like_fractions(values):
+    nums, den = over_common_denominator(values)
+    assert len(nums) == len(values) and all(type(x) is int for x in nums)
+    assert all(Fraction(x, den) == v for x, v in zip(nums, values))
+    assert Fraction(sum(nums), den) == sum(values, Fraction(0))
+
+
+def test_common_denominator_declines_scalars():
+    assert over_common_denominator([1, Fraction(1, 2), Scalar.param("a")]) is None
+    assert over_common_denominator([]) == ([], 1)
+
+
+def _decode(digits: str) -> int:
+    """An int from its decimal text, read in pieces that each stay well under
+    the interpreter's limit on one string conversion."""
+    sign = -1 if digits.startswith("-") else 1
+    digits = digits.lstrip("-")
+    value = 0
+    for start in range(0, len(digits), 1000):
+        piece = digits[start:start + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return sign * value
+
+
+@pytest.mark.parametrize("value", [
+    7 * (10**6000 - 1) // 9,
+    -(3 * 10**9000 + 17),
+    Fraction(1, 10**5000 + 3),
+    Fraction(-(10**4400 + 1), 7),
+], ids=["int", "negative", "denominator", "numerator"])
+def test_text_prints_numbers_past_the_conversion_limit(value):
+    out = text(value)
+    num, _, den = out.partition("/")
+    assert Fraction(_decode(num), _decode(den) if den else 1) == value
+    assert out.lstrip("-")[0] != "0"
+    assert text(Scalar.rational(value)) == out

@@ -121,9 +121,6 @@ class NcPoly(SparseSum):
     def coeff(self, w: Word) -> Coeff:
         return self._terms.get(w, 0)
 
-    def degree(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
-
     # -- text --------------------------------------------------------------
 
     def to_text(self) -> str:

@@ -108,10 +108,6 @@ class Sequence:
     def is_constant(self) -> bool:
         return all(v == self.values[0] for v in self.values)
 
-    def agrees_with(self, other: "Sequence") -> bool:
-        """Equality on the intersection of windows."""
-        return (self - other).is_zero()
-
     def __len__(self) -> int:
         return len(self.values)
 

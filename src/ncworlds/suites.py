@@ -4,6 +4,16 @@ Each suite runs a list of checks and collects a report: check id, the
 identity being verified, pass/fail, the residual in canonical text, and
 elapsed time. Residuals are exact; a check passes only when its residual
 is identically zero (or its stated count/threshold holds).
+
+A check returns or yields its residuals (a Vec3 counts as its three
+components); ``@report.check(id, statement)`` runs it at once and records
+the text of the first nonzero one, or "0". A claim that is not a residual
+is stated as ``expect(ok, detail)``: its ``Mismatch`` ends the check with
+``detail`` as the residual, and any other exception records ``error: ...``.
+Failure text that costs a formatting is raised as ``Mismatch`` under an
+``if``, so a passing check formats none. The runner builds the whole list
+before it reads it, so a sampled check draws all its random inputs whether
+it passes or fails, and the checks after it see the same random state.
 """
 
 from __future__ import annotations
@@ -32,7 +42,17 @@ class Check:
     elapsed: float = 0.0
 
 
-CheckFn = Callable[[], tuple[bool, str]]
+CheckFn = Callable[[], Iterable | None]
+
+
+class Mismatch(Exception):
+    """A claim that is not a residual failed; its text is the residual."""
+
+
+def expect(ok: bool, detail: str = "mismatch") -> None:
+    """Stop the running check with residual ``detail`` unless ``ok``."""
+    if not ok:
+        raise Mismatch(detail)
 
 
 @dataclass
@@ -46,16 +66,22 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
 
-    def check(self, cid: str, statement: str, fn: CheckFn) -> None:
-        t0 = time.perf_counter()
-        try:
-            ok, residual = fn()
-        except Exception as exc:
-            # any error inside a check (window exhaustion, step limit) is a
-            # failed check, never a crashed run
-            ok, residual = False, f"error: {exc}"
-        self.checks.append(Check(cid, statement, "pass" if ok else "fail",
-                                 residual, time.perf_counter() - t0))
+    def check(self, cid: str, statement: str) -> Callable[[CheckFn], Check]:
+        """Decorator: run the check now, record it and return its ``Check``."""
+        def record(fn: CheckFn) -> Check:
+            t0 = time.perf_counter()
+            try:
+                ok, residual = first_residual(list(fn() or ()))
+            except Mismatch as exc:
+                ok, residual = False, str(exc)
+            except Exception as exc:
+                # any error inside a check (window exhaustion, step limit) is a
+                # failed check, never a crashed run
+                ok, residual = False, f"error: {exc}"
+            self.checks.append(Check(cid, statement, "pass" if ok else "fail",
+                                     residual, time.perf_counter() - t0))
+            return self.checks[-1]
+        return record
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -87,21 +113,21 @@ class Options:
     spread: int = 3
     levels: int = MIN_TOWER_LEVELS
 
+    @property
+    def samples(self) -> int:
+        """Random inputs drawn by each sampled algebra check."""
+        return self.trials // 5 or 10
+
 
 # -- residual helpers ---------------------------------------------------------
 
 def first_residual(values: Iterable) -> tuple[bool, str]:
     """(True, "0") when every value is zero, else (False, text of the first
     nonzero one); a Vec3 counts as its three components."""
-    for value in values:
-        for part in (value if isinstance(value, sd.Vec3) else (value,)):
-            if not part.is_zero():
-                return False, part.to_text()
-    return True, "0"
-
-
-def _flag(ok: bool, detail: str = "") -> tuple[bool, str]:
-    return ok, "0" if ok else (detail or "mismatch")
+    nonzero = next((part for value in values
+                    for part in (value if isinstance(value, sd.Vec3) else (value,))
+                    if not part.is_zero()), None)
+    return nonzero is None, "0" if nonzero is None else nonzero.to_text()
 
 
 # -- random generators --------------------------------------------------------
@@ -154,49 +180,43 @@ def suite_iterant(opt: Options) -> SuiteReport:
     i_view = it.imaginary_iterant()                    # [-1, 1].eta
     i_other = it.IterantElement.diagonal([1, -1]) * eta  # [1, -1].eta
 
-    s.check("square-root-of-minus-one",
-            "([1,-1].eta)^2 = -1 and ([-1,1].eta)^2 = -1",
-            lambda: _flag(i_other * i_other == minus_one and i_view * i_view == minus_one))
+    s.check("square-root-of-minus-one", "([1,-1].eta)^2 = -1 and ([-1,1].eta)^2 = -1")(
+        lambda: expect(i_other * i_other == minus_one and i_view * i_view == minus_one))
 
     target = it.Matrix([[0, -1], [1, 0]])
-    s.check("imaginary-matrix-image",
-            "matrix of eps.eta is ((0,-1),(1,0))",
-            lambda: _flag(i_view.to_matrix() == target,
-                          i_view.to_matrix().to_text()))
+    s.check("imaginary-matrix-image", "matrix of eps.eta is ((0,-1),(1,0))")(
+        lambda: expect(i_view.to_matrix() == target, i_view.to_matrix().to_text()))
     s.note("the conjugate view [1,-1].eta maps to ((0,1),(-1,0)), the negative")
 
+    @s.check("shift-relations",
+             "eta^2 = 1, sigma^2 = 1, eps-bar = -eps, eta.[a,b] = [b,a].eta, "
+             "[a,b][c,d] = [ac,bd]")
     def shift_relations():
         a, b, c, d = (Scalar.param(n) for n in "abcd")
         ab = it.IterantElement.diagonal([a, b])
         cd = it.IterantElement.diagonal([c, d])
-        ok = (eta * eta == one
-              and eps * eps == one   # the polarity sigma is eps = [-1, 1]
-              and eps.bar() == -eps
-              and eta * ab == ab.bar() * eta
-              and ab * cd == it.IterantElement.diagonal([a * c, b * d]))
-        return _flag(ok)
-
-    s.check("shift-relations",
-            "eta^2 = 1, sigma^2 = 1, eps-bar = -eps, eta.[a,b] = [b,a].eta, "
-            "[a,b][c,d] = [ac,bd]", shift_relations)
+        expect(eta * eta == one
+               and eps * eps == one   # the polarity sigma is eps = [-1, 1]
+               and eps.bar() == -eps
+               and eta * ab == ab.bar() * eta
+               and ab * cd == it.IterantElement.diagonal([a * c, b * d]))
 
     table = it.quaternion_table()
-    s.check("quaternion-relations", "i^2 = j^2 = k^2 = ijk = -1",
-            lambda: _flag(table.ok, "table inconsistent"))
+    s.check("quaternion-relations", "i^2 = j^2 = k^2 = ijk = -1")(
+        lambda: expect(table.ok, "table inconsistent"))
     s.note(f"quaternion orientation as computed: {table.jk_orientation}")
 
+    @s.check("quaternion-matrix-crosscheck",
+             "basis products agree with 2x2 matrix multiplication")
     def quaternion_matrices():
         basis = it.quaternion_basis()
         for x in basis.values():
             for y in basis.values():
                 if (x * y).to_matrix() != x.to_matrix() * y.to_matrix():
-                    return False, (x * y).to_matrix().to_text()
-        return True, "0"
+                    raise Mismatch((x * y).to_matrix().to_text())
 
-    s.check("quaternion-matrix-crosscheck",
-            "basis products agree with 2x2 matrix multiplication",
-            quaternion_matrices)
-
+    @s.check("matrix-decomposition-3x3-symbolic",
+             "six diagonal-permutation summands with factor 1/2!")
     def symbolic_3x3():
         names = ["a", "b", "c", "d", "e", "f", "g", "h", "k"]
         sym = {n: Scalar.param(n) for n in names}
@@ -215,26 +235,20 @@ def suite_iterant(opt: Options) -> SuiteReport:
         }
         want = it.IterantElement(3, {p: tuple(v * half for v in vec)
                                      for p, vec in expected.items()})
-        ok = dec == want and dec.to_matrix() == m
-        return _flag(ok, dec.to_text())
+        expect(dec == want and dec.to_matrix() == m, dec.to_text())
 
-    s.check("matrix-decomposition-3x3-symbolic",
-            "six diagonal-permutation summands with factor 1/2!",
-            symbolic_3x3)
-
+    @s.check("matrix-decomposition-roundtrip",
+             "matrix of decomposition reproduces 50 random matrices at n = 2, 3, 4")
     def roundtrip():
         for n in (2, 3, 4):
             for _ in range(50):
                 m = it.Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                                 for _ in range(n)] for _ in range(n)])
                 if it.matrix_decompose(m).to_matrix() != m:
-                    return False, f"round trip failed at n={n}"
-        return True, "0"
+                    raise Mismatch(f"round trip failed at n={n}")
 
-    s.check("matrix-decomposition-roundtrip",
-            "matrix of decomposition reproduces 50 random matrices at n = 2, 3, 4",
-            roundtrip)
-
+    @s.check("matrix-map-is-ring-isomorphism",
+             "iterant to matrix map preserves sums and products (n = 2, 3)")
     def iso():
         for n in (2, 3):
             perms = list(permutations(range(n)))
@@ -245,56 +259,42 @@ def suite_iterant(opt: Options) -> SuiteReport:
                         terms[p] = tuple(rng.randint(-3, 3) for _ in range(n))
                     return it.IterantElement(n, terms)
                 x, y = rand_el(), rand_el()
-                if (x * y).to_matrix() != x.to_matrix() * y.to_matrix():
-                    return False, "product image mismatch"
-                if (x + y).to_matrix() != it.Matrix(
-                        [[a + b for a, b in zip(r1, r2)]
-                         for r1, r2 in zip(x.to_matrix().rows, y.to_matrix().rows)]):
-                    return False, "sum image mismatch"
-        return True, "0"
+                expect((x * y).to_matrix() == x.to_matrix() * y.to_matrix(),
+                       "product image mismatch")
+                sums = it.Matrix([[a + b for a, b in zip(r1, r2)]
+                                  for r1, r2 in zip(x.to_matrix().rows, y.to_matrix().rows)])
+                expect((x + y).to_matrix() == sums, "sum image mismatch")
 
-    s.check("matrix-map-is-ring-isomorphism",
-            "iterant to matrix map preserves sums and products (n = 2, 3)", iso)
-
+    @s.check("conjugation-gives-determinant",
+             "(A + B.eta)(Abar - B.eta) is central and equals the determinant")
     def conjugation():
         a, b, c, d = (Scalar.param(n) for n in "abcd")
         el = it.IterantElement.pair([a, d], [b, c])
         prod = el * el.conjugate()
         det_terms = dict(prod.terms())
         ident = (0, 1)
-        if set(det_terms) - {ident}:
-            return False, prod.to_text()
         v = det_terms.get(ident, (0, 0))
-        if v[0] != v[1]:
-            return False, prod.to_text()
         m = el.to_matrix()
         det = m.rows[0][0] * m.rows[1][1] - m.rows[0][1] * m.rows[1][0]
-        return _flag(v[0] == det, prod.to_text())
+        expect(set(det_terms) <= {ident} and v[0] == v[1] and v[0] == det,
+               prod.to_text())
 
-    s.check("conjugation-gives-determinant",
-            "(A + B.eta)(Abar - B.eta) is central and equals the determinant",
-            conjugation)
-
+    @s.check("lorentz-boosts",
+             "scale maps [a,b] -> [ka, b/k] preserve (t-x)(t+x); v = 3/5 gives (5/4, -3/4)")
     def lorentz():
         for _ in range(30):
             k = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             t2, x2 = it.lorentz_boost(k, t, x)
-            if (t2 - x2) * (t2 + x2) != (t - x) * (t + x):
-                return False, "interval changed"
-        if it.lorentz_boost(1, Fraction(5), Fraction(3)) != (Fraction(5), Fraction(3)):
-            return False, "k = 1 is not the identity"
+            expect((t2 - x2) * (t2 + x2) == (t - x) * (t + x), "interval changed")
+        expect(it.lorentz_boost(1, Fraction(5), Fraction(3)) == (Fraction(5), Fraction(3)),
+               "k = 1 is not the identity")
         k35 = it.boost_parameter(Fraction(3, 5))
         if k35 != 2:
-            return False, f"boost parameter {k35}"
-        if it.lorentz_boost(k35, 1, 0) != (Fraction(5, 4), Fraction(-3, 4)):
-            return False, "v = 3/5 boost of (1, 0)"
-        return True, "0"
-
-    s.check("lorentz-boosts",
-            "scale maps [a,b] -> [ka, b/k] preserve (t-x)(t+x); v = 3/5 gives (5/4, -3/4)",
-            lorentz)
+            raise Mismatch(f"boost parameter {k35}")
+        expect(it.lorentz_boost(k35, 1, 0) == (Fraction(5, 4), Fraction(-3, 4)),
+               "v = 3/5 boost of (1, 0)")
 
     return s
 
@@ -309,111 +309,81 @@ def suite_flat(opt: Options) -> SuiteReport:
     rng = random.Random(opt.seed)
     flat = qt.FLAT
 
+    @s.check("normal-order", "P1 Q1 -> Q1 P1 - 1; Q2 Q1 -> Q1 Q2; P1 f -> f P1 - f,1")
     def canonical():
-        out = []
-        out.append(qt.reduce_poly(qt.P(1) * qt.Q(1), flat)
-                   - (qt.Q(1) * qt.P(1) - NcPoly.one()))
-        out.append(qt.reduce_poly(qt.Q(2) * qt.Q(1), flat) - qt.Q(1) * qt.Q(2))
+        yield (qt.reduce_poly(qt.P(1) * qt.Q(1), flat)
+               - (qt.Q(1) * qt.P(1) - NcPoly.one()))
+        yield qt.reduce_poly(qt.Q(2) * qt.Q(1), flat) - qt.Q(1) * qt.Q(2)
         theta = NcPoly.gen("theta")
-        out.append(qt.reduce_poly(qt.P(1) * theta, qt.FLAT_FN)
-                   - (theta * qt.P(1) - NcPoly.gen("theta", derivs=(1,))))
-        return first_residual(out)
+        yield (qt.reduce_poly(qt.P(1) * theta, qt.FLAT_FN)
+               - (theta * qt.P(1) - NcPoly.gen("theta", derivs=(1,))))
 
-    s.check("normal-order", "P1 Q1 -> Q1 P1 - 1; Q2 Q1 -> Q1 Q2; P1 f -> f P1 - f,1",
-            canonical)
-
+    @s.check("coordinate-derivatives", "dQ_j/dQ_i = delta_ij and dP_j/dP_i = delta_ij")
     def deltas():
-        out = []
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 want = NcPoly.one() if i == j else NcPoly.zero()
-                out.append(qt.flat_partial_q(qt.Q(j), i) - want)
-                out.append(qt.flat_partial_p(qt.P(j), i) - want)
-        return first_residual(out)
+                yield qt.flat_partial_q(qt.Q(j), i) - want
+                yield qt.flat_partial_p(qt.P(j), i) - want
 
-    s.check("coordinate-derivatives", "dQ_j/dQ_i = delta_ij and dP_j/dP_i = delta_ij",
-            deltas)
-
+    @s.check("commutator-derivative-matches-formal",
+             "[f, P_i] and [Q_i, f] reduce to the formal partial derivatives")
     def vs_formal():
-        out = []
-        for _ in range(opt.trials // 5 or 10):
+        for _ in range(opt.samples):
             f = random_poly(rng, _FLAT_POOL, 3, 4)
             for i in (1, 2):
                 nf = qt.reduce_poly(f, flat)
-                out.append(qt.flat_partial_q(f, i) - qt.formal_partial_q(nf, i, flat))
-                out.append(qt.flat_partial_p(f, i) - qt.formal_partial_p(nf, i, flat))
-        return first_residual(out)
+                yield qt.flat_partial_q(f, i) - qt.formal_partial_q(nf, i, flat)
+                yield qt.flat_partial_p(f, i) - qt.formal_partial_p(nf, i, flat)
 
-    s.check("commutator-derivative-matches-formal",
-            "[f, P_i] and [Q_i, f] reduce to the formal partial derivatives",
-            vs_formal)
-
+    @s.check("mixed-partials-commute", "d1 d2 f = d2 d1 f")
     def mixed():
-        out = []
-        for _ in range(opt.trials // 5 or 10):
+        for _ in range(opt.samples):
             f = random_poly(rng, _FLAT_POOL, 3, 4)
             d12 = qt.flat_partial_q(qt.flat_partial_q(f, 1), 2)
             d21 = qt.flat_partial_q(qt.flat_partial_q(f, 2), 1)
-            out.append(d12 - d21)
-        return first_residual(out)
+            yield d12 - d21
 
-    s.check("mixed-partials-commute", "d1 d2 f = d2 d1 f", mixed)
-
+    @s.check("reduce-idempotent", "reduce(reduce(f)) = reduce(f)")
     def idem():
-        out = []
-        for _ in range(opt.trials // 5 or 10):
+        for _ in range(opt.samples):
             f = random_poly(rng, _FLAT_POOL, 4, 4)
             r = qt.reduce_poly(f, flat)
-            out.append(qt.reduce_poly(r, flat) - r)
-        return first_residual(out)
+            yield qt.reduce_poly(r, flat) - r
 
-    s.check("reduce-idempotent", "reduce(reduce(f)) = reduce(f)", idem)
-
+    @s.check("reduce-respects-product", "reduce(ab) = reduce(reduce(a) reduce(b))")
     def respects():
-        out = []
-        for _ in range(opt.trials // 5 or 10):
+        for _ in range(opt.samples):
             a = random_poly(rng, _FLAT_POOL, 3, 3)
             b = random_poly(rng, _FLAT_POOL, 3, 3)
             lhs = qt.reduce_poly(a * b, flat)
             rhs = qt.reduce_poly(qt.reduce_poly(a, flat) * qt.reduce_poly(b, flat), flat)
-            out.append(lhs - rhs)
-        return first_residual(out)
+            yield lhs - rhs
 
-    s.check("reduce-respects-product", "reduce(ab) = reduce(reduce(a) reduce(b))",
-            respects)
-
+    @s.check("hamilton-equations",
+             "[Q_i, h] = dh/dP_i and [P_i, h] = -dh/dQ_i for 20 random h")
     def hamilton():
-        out = []
         for _ in range(20):
             h = random_poly(rng, _FLAT_POOL, 3, 4)
-            for r1, r2 in qt.hamilton_check(h, (1, 2)):
-                out.append(r1)
-                out.append(r2)
-        return first_residual(out)
-
-    s.check("hamilton-equations",
-            "[Q_i, h] = dh/dP_i and [P_i, h] = -dh/dQ_i for 20 random h",
-            hamilton)
+            for pair in qt.hamilton_check(h, (1, 2)):
+                yield from pair
 
     return s
 
 
 def suite_schroedinger(opt: Options) -> SuiteReport:
     s = SuiteReport("schroedinger", seed=opt.seed)
-    s.check("heisenberg-form", "[psi, J/dt] = i hbar [psi, H] for J = 1 + i hbar H dt",
-            lambda: first_residual([qt.schroedinger_residual()]))
+    s.check("heisenberg-form", "[psi, J/dt] = i hbar [psi, H] for J = 1 + i hbar H dt")(
+        lambda: [qt.schroedinger_residual()])
 
+    @s.check("frozen-clock", "with hbar = 0 the advance J is 1 and nabla psi = 0")
     def frozen_clock():
         psi = NcPoly.gen("psi")
         j0 = NcPoly.one()
-        return first_residual([commutator(psi, j0 / Scalar.param("dt"))])
+        return [commutator(psi, j0 / Scalar.param("dt"))]
 
-    s.check("frozen-clock", "with hbar = 0 the advance J is 1 and nabla psi = 0",
-            frozen_clock)
-
-    s.check("central-hamiltonian", "a scalar H commutes with psi on both sides",
-            lambda: first_residual([qt.schroedinger_residual(
-                NcPoly.from_scalar(Scalar.param("m")))]))
+    s.check("central-hamiltonian", "a scalar H commutes with psi on both sides")(
+        lambda: [qt.schroedinger_residual(NcPoly.from_scalar(Scalar.param("m")))])
     return s
 
 
@@ -423,39 +393,32 @@ def suite_gauge(opt: Options) -> SuiteReport:
     s.note("mixed covariant derivatives composed in writing order give [F, R_ij]; "
            "the opposite composition convention gives [R_ij, F]")
 
+    @s.check("flat-connection", "A = 0 gives commuting covariant derivatives")
     def flat_case():
         zero = [NcPoly.zero(), NcPoly.zero()]
         f = random_poly(rng, _FLAT_POOL, 3, 3)
-        return first_residual([qt.gauge_curvature_residual(zero, f, 1, 2)])
+        return [qt.gauge_curvature_residual(zero, f, 1, 2)]
 
-    s.check("flat-connection", "A = 0 gives commuting covariant derivatives",
-            flat_case)
-
+    @s.check("generic-connection",
+             "[nabla_i, nabla_j]F = [F, R_ij] with R_ij = d_i A_j - d_j A_i + [A_i, A_j]")
     def generic():
         a = [NcPoly.gen("A", 1), NcPoly.gen("A", 2)]
-        out = [qt.gauge_curvature_residual(a, NcPoly.gen("F"), 1, 2)]
+        yield qt.gauge_curvature_residual(a, NcPoly.gen("F"), 1, 2)
         pool = (G("A", 1), G("A", 2), G("F"), qt.q_gen(1), qt.p_gen(1))
         for _ in range(10):
             f = random_poly(rng, pool, 3, 3)
-            out.append(qt.gauge_curvature_residual(a, f, 1, 2))
-        return first_residual(out)
+            yield qt.gauge_curvature_residual(a, f, 1, 2)
 
-    s.check("generic-connection",
-            "[nabla_i, nabla_j]F = [F, R_ij] with R_ij = d_i A_j - d_j A_i + [A_i, A_j]",
-            generic)
-
+    @s.check("function-valued-connection",
+             "for A_i = a_i(Q) the bracket term drops: R_12 = a_2,1 - a_1,2")
     def function_connection():
         a = [NcPoly.gen("a", 1), NcPoly.gen("a", 2)]
         r12 = (qt.flat_partial_q(a[1], 1, qt.FLAT_FN) - qt.flat_partial_q(a[0], 2, qt.FLAT_FN)
                + qt.reduce_poly(commutator(a[0], a[1]), qt.FLAT_FN))
         want = (NcPoly.gen("a", 2, derivs=(1,)) - NcPoly.gen("a", 1, derivs=(2,)))
-        res = [r12 - want,
-               qt.gauge_curvature_residual(a, NcPoly.gen("theta"), 1, 2, qt.FLAT_FN)]
-        return first_residual(res)
+        return [r12 - want,
+                qt.gauge_curvature_residual(a, NcPoly.gen("theta"), 1, 2, qt.FLAT_FN)]
 
-    s.check("function-valued-connection",
-            "for A_i = a_i(Q) the bracket term drops: R_12 = a_2,1 - a_1,2",
-            function_connection)
     return s
 
 
@@ -463,37 +426,31 @@ def suite_epsilon(opt: Options) -> SuiteReport:
     s = SuiteReport("epsilon", seed=opt.seed)
     rng = random.Random(opt.seed)
 
+    @s.check("epsilon-identity",
+             "sum_i eps_abi eps_cdi = -delta_ad delta_bc + delta_ac delta_bd, all 81 tuples")
     def identity():
         rows = sd.epsilon_identity_check()
         bad = [(t, lhs, rhs) for t, lhs, rhs in rows if lhs != rhs]
-        return _flag(len(rows) == 81 and not bad, f"failures: {bad[:3]}")
+        expect(len(rows) == 81 and not bad, f"failures: {bad[:3]}")
 
-    s.check("epsilon-identity",
-            "sum_i eps_abi eps_cdi = -delta_ad delta_bc + delta_ac delta_bd, all 81 tuples",
-            identity)
-
+    @s.check("epsilon-values", "(1,2,1,2) -> 1, (1,2,2,1) -> -1, repeats -> 0")
     def spots():
         ok = (sd.epsilon(1, 2, 3) == 1 and sd.epsilon(2, 1, 3) == -1
               and sd.epsilon(1, 1, 2) == 0)
         rows = {t: (l, r) for t, l, r in sd.epsilon_identity_check()}
         ok = ok and rows[(1, 2, 1, 2)] == (1, 1) and rows[(1, 2, 2, 1)] == (-1, -1)
-        ok = ok and all(rows[(a, a, c, d)][0] == 0
-                        for a in (1, 2, 3) for c in (1, 2, 3) for d in (1, 2, 3))
-        return _flag(ok)
+        expect(ok and all(rows[(a, a, c, d)][0] == 0
+                          for a in (1, 2, 3) for c in (1, 2, 3) for d in (1, 2, 3)))
 
-    s.check("epsilon-values", "(1,2,1,2) -> 1, (1,2,2,1) -> -1, repeats -> 0", spots)
-
+    @s.check("triple-product",
+             "A x (B x C) = (A.C) B - (A.B) C for commuting components")
     def triple():
-        out = []
         for _ in range(10):
             a, b, c = (random_vec3(rng, opt.length, opt.spread) for _ in range(3))
             ac, ab = sd.dot(a, c), sd.dot(a, b)
             rhs = b.map(lambda comp: ac * comp) - c.map(lambda comp: ab * comp)
-            out.append(sd.cross(a, sd.cross(b, c)) - rhs)
-        return first_residual(out)
+            yield sd.cross(a, sd.cross(b, c)) - rhs
 
-    s.check("triple-product",
-            "A x (B x C) = (A.C) B - (A.B) C for commuting components", triple)
     return s
 
 
@@ -501,17 +458,15 @@ def suite_em(opt: Options) -> SuiteReport:
     s = SuiteReport("em", seed=opt.seed)
     rng = random.Random(opt.seed)
 
+    @s.check("adjusted-leibniz", "nabla(fg) = nabla(f) g + f nabla(g) exactly")
     def nabla_leibniz():
-        out = []
         for _ in range(20):
             f = sd.as_skew(random_sequence(rng, opt.length, opt.spread))
             g = sd.as_skew(random_sequence(rng, opt.length, opt.spread))
-            out.append(sd.nabla(f * g) - sd.nabla(f) * g - f * sd.nabla(g))
-        return first_residual(out)
+            yield sd.nabla(f * g) - sd.nabla(f) * g - f * sd.nabla(g)
 
-    s.check("adjusted-leibniz", "nabla(fg) = nabla(f) g + f nabla(g) exactly",
-            nabla_leibniz)
-
+    @s.check("raw-difference-rule",
+             "D(fg) = D(f) g + f1 D(g); the unshifted product rule fails")
     def raw_difference():
         shifted_rule_ok = True
         plain_fails = False
@@ -525,40 +480,34 @@ def suite_em(opt: Options) -> SuiteReport:
             plain = sd.delta(f) * g + f * sd.delta(g)
             if not (lhs - plain).is_zero():
                 plain_fails = True
-        return _flag(shifted_rule_ok and plain_fails,
-                     "raw difference rule misbehaved")
+        expect(shifted_rule_ok and plain_fails, "raw difference rule misbehaved")
 
-    s.check("raw-difference-rule",
-            "D(fg) = D(f) g + f1 D(g); the unshifted product rule fails", raw_difference)
-
+    @s.check("diffusion-commutator",
+             "[x, nabla x] = J (delta x)^2 / dt; constant exactly for constant step laws")
     def diffusion():
         tau = Scalar.param("tau")
         for _ in range(10):
             x = random_sequence(rng, opt.length, opt.spread)
             lhs = sd.position_velocity_commutator(x, tau)
             dx2 = sd.delta(x) * sd.delta(x) * tau.inverse()
-            if not (lhs - sd.SkewElement.shift_term(1, dx2)).is_zero():
-                return False, "pointwise law failed"
+            expect((lhs - sd.SkewElement.shift_term(1, dx2)).is_zero(),
+                   "pointwise law failed")
         alternating = sd.Sequence([t % 2 for t in range(opt.length)])
         comm = sd.position_velocity_commutator(alternating, 1)
         (power, seq), = comm.terms()
         if power != 1 or not seq.is_constant() or seq.values[0] != 1:
-            return False, comm.to_text()
+            raise Mismatch(comm.to_text())
         linear = sd.Sequence([3 * t for t in range(opt.length)])
         comm = sd.position_velocity_commutator(linear, 1)
         (power, seq), = comm.terms()
         if power != 1 or not seq.is_constant() or seq.values[0] != 9:
-            return False, comm.to_text()
+            raise Mismatch(comm.to_text())
         uneven = sd.Sequence([0, 1, 3, 4, 6, 7, 9, 10])
         (power, seq), = sd.position_velocity_commutator(uneven, 1).terms()
-        if seq.is_constant():
-            return False, "uneven walk came out constant"
-        return True, "0"
+        expect(not seq.is_constant(), "uneven walk came out constant")
 
-    s.check("diffusion-commutator",
-            "[x, nabla x] = J (delta x)^2 / dt; constant exactly for constant step laws",
-            diffusion)
-
+    @s.check("brownian-diffusion-constant",
+             "steps +-s with s^2 = k tau give [x, nabla x] = J k")
     def brownian_steps():
         # walk with steps +-s has [x, nabla x] = J s^2/tau; with s^2 = k tau
         # the commutator is J k, the diffusion constant
@@ -573,47 +522,45 @@ def suite_em(opt: Options) -> SuiteReport:
         (power, seq), = comm.terms()
         want = step * step * tau.inverse()
         if power != 1 or not all(v == want for v in seq.values):
-            return False, comm.to_text()
+            raise Mismatch(comm.to_text())
         k = Scalar.param("k")
         collapsed = want.substitute_square("s", k * tau)
-        return _flag(collapsed == k, collapsed.to_text())
-
-    s.check("brownian-diffusion-constant",
-            "steps +-s with s^2 = k tau give [x, nabla x] = J k", brownian_steps)
+        expect(collapsed == k, collapsed.to_text())
 
     trial_data: list[tuple[sd.EmResiduals, bool]] = []
 
-    def run_trials():
+    @s.check("discrete-trials", "exact field computations on random time series")
+    def discrete_trials():
         for res, b in em_trials(rng, opt.trials, opt.length, opt.spread):
             bxb = sd.cross(b, b)
             trial_data.append((res, not bxb.is_zero()))
-        return True, f"{opt.trials} random integer triples, length {opt.length}"
 
-    s.check("discrete-trials", "exact field computations on random time series",
-            run_trials)
+    # the one check whose passing residual is a description, not "0"
+    if discrete_trials.status == "pass":
+        discrete_trials.residual = f"{opt.trials} random integer triples, length {opt.length}"
 
-    def trial_residual(field: str) -> tuple[bool, str]:
+    def trial_residual(field: str) -> list:
         # no vacuous pass when the trials stopped early
         if len(trial_data) < opt.trials:
-            return False, f"error: only {len(trial_data)} of {opt.trials} trials ran"
-        return first_residual(getattr(r, field) for r, _ in trial_data)
+            raise Mismatch(f"error: only {len(trial_data)} of {opt.trials} trials ran")
+        return [getattr(r, field) for r, _ in trial_data]
 
-    s.check("lorentz-force", "xddot = E + xdot x B",
-            lambda: trial_residual("lorentz_force"))
-    s.check("divergence-b", "div B = 0", lambda: trial_residual("div_b"))
-    s.check("faraday-with-curvature", "dB/dt + curl E = B x B",
-            lambda: trial_residual("faraday"))
-    s.check("ampere-with-waves", "dE/dt - curl B = (dt^2 - lap) xdot",
-            lambda: trial_residual("ampere"))
+    s.check("lorentz-force", "xddot = E + xdot x B")(
+        lambda: trial_residual("lorentz_force"))
+    s.check("divergence-b", "div B = 0")(lambda: trial_residual("div_b"))
+    s.check("faraday-with-curvature", "dB/dt + curl E = B x B")(
+        lambda: trial_residual("faraday"))
+    s.check("ampere-with-waves", "dE/dt - curl B = (dt^2 - lap) xdot")(
+        lambda: trial_residual("ampere"))
 
+    @s.check("bxb-nonzero", "the curvature term B x B is generically nonzero")
     def bxb():
         nonzero = sum(1 for _, nz in trial_data if nz)
         need = (9 * opt.trials + 9) // 10
-        return _flag(nonzero >= need, f"B x B nonzero in only {nonzero}/{opt.trials}")
+        expect(nonzero >= need, f"B x B nonzero in only {nonzero}/{opt.trials}")
 
-    s.check("bxb-nonzero", "the curvature term B x B is generically nonzero",
-            bxb)
-
+    @s.check("discrete-field-forms",
+             "B = J^2 dX' x dX and E = J^2 d2X - J^3 dX'' x (dX' x dX)")
     def field_forms():
         # independent oracle: plain pointwise sequence arithmetic, shifts by hand
         def cross_seq(a, b):
@@ -621,7 +568,6 @@ def suite_em(opt: Options) -> SuiteReport:
                          for i in (1, 2, 3) for j in (1, 2, 3) if sd.epsilon(i, j, k)),
                         start=sd.constant(0, 0, opt.length)) for k in (1, 2, 3)]
 
-        out = []
         for _ in range(10):
             seqs = [random_sequence(rng, opt.length, opt.spread) for _ in range(3)]
             x = sd.Vec3.of(seqs)
@@ -630,47 +576,38 @@ def suite_em(opt: Options) -> SuiteReport:
             dx1 = [f.shift(1) for f in dx]
             dx2 = [f.shift(2) for f in dx]
             b_form = sd.Vec3.of([sd.SkewElement({2: f}) for f in cross_seq(dx1, dx)])
-            out.append(b - b_form)
+            yield b - b_form
             d2x = [sd.delta(sd.delta(f)) for f in seqs]
             triple = cross_seq(dx2, cross_seq(dx1, dx))
             e_form = (sd.Vec3.of([sd.SkewElement({2: f}) for f in d2x])
                       - sd.Vec3.of([sd.SkewElement({3: f}) for f in triple]))
-            out.append(e - e_form)
-        return first_residual(out)
+            yield e - e_form
 
-    s.check("discrete-field-forms",
-            "B = J^2 dX' x dX and E = J^2 d2X - J^3 dX'' x (dX' x dX)", field_forms)
-
+    @s.check("linear-series-vanish", "uniform motion has E = 0 and B = 0")
     def linear_series():
         x = sd.Vec3.of([sd.Sequence([2 * t for t in range(opt.length)]),
                         sd.Sequence([-t for t in range(opt.length)]),
                         sd.Sequence([3 * t for t in range(opt.length)])])
         res, b = sd.em_theorem_residuals(x)
         _, e, _ = sd.em_fields(x)
-        ok = res.all_zero() and b.is_zero() and e.is_zero()
-        return _flag(ok, "linear series produced fields")
+        expect(res.all_zero() and b.is_zero() and e.is_zero(),
+               "linear series produced fields")
 
-    s.check("linear-series-vanish", "uniform motion has E = 0 and B = 0",
-            linear_series)
-
+    @s.check("modified-leibniz",
+             "dt(FG) = dt(F)G + F dt(G) + sum_i d_i(F) d_i(G)")
     def modified_leibniz():
-        out = []
         x = random_vec3(rng, opt.length, opt.spread)
         xdot = x.map(lambda f: sd.nabla(f))
         one = sd.SkewElement.of(sd.constant(1, 0, opt.length))
-        out.append(sd.modified_leibniz_residual(one, one, x))
+        yield sd.modified_leibniz_residual(one, one, x)
         for _ in range(10):
             f = sd.as_skew(random_sequence(rng, opt.length, opt.spread))
             g = sd.as_skew(random_sequence(rng, opt.length, opt.spread))
-            out.append(sd.modified_leibniz_residual(f, g, x))
-        out.append(sd.modified_leibniz_residual(xdot.c1, xdot.c2, x))
-        return first_residual(out)
+            yield sd.modified_leibniz_residual(f, g, x)
+        yield sd.modified_leibniz_residual(xdot.c1, xdot.c2, x)
 
-    s.check("modified-leibniz",
-            "dt(FG) = dt(F)G + F dt(G) + sum_i d_i(F) d_i(G)", modified_leibniz)
-
+    @s.check("skew-associativity", "(ab)c = a(bc) on shared windows")
     def associativity():
-        out = []
         for _ in range(10):
             els = []
             for _ in range(3):
@@ -679,13 +616,11 @@ def suite_em(opt: Options) -> SuiteReport:
                     terms[p] = random_sequence(rng, opt.length, opt.spread)
                 els.append(sd.SkewElement(terms))
             a, b, c = els
-            out.append((a * b) * c - a * (b * c))
-        return first_residual(out)
+            yield (a * b) * c - a * (b * c)
 
-    s.check("skew-associativity", "(ab)c = a(bc) on shared windows", associativity)
-
+    @s.check("scalar-gradient-collapse",
+             "for commuting scalar F: [F, xdot_i] = Fdot delta_i")
     def scalar_gradient():
-        out = []
         for _ in range(10):
             seqs = [random_sequence(rng, opt.length, opt.spread) for _ in range(3)]
             xdot = sd.Vec3.of(seqs).map(lambda f: sd.nabla(f))
@@ -693,44 +628,37 @@ def suite_em(opt: Options) -> SuiteReport:
             for i in (1, 2, 3):
                 lhs = sd.partial_spatial(sd.as_skew(f), xdot, i)
                 rhs = sd.nabla(f) * sd.as_skew(sd.delta(seqs[i - 1]))
-                out.append(lhs - rhs)
-        return first_residual(out)
+                yield lhs - rhs
 
-    s.check("scalar-gradient-collapse",
-            "for commuting scalar F: [F, xdot_i] = Fdot delta_i", scalar_gradient)
     s.note("the gradient collapse to Fdot delta_i uses pointwise commutativity "
            "and holds in the commuting-scalar model only")
 
+    @s.check("clock-rotation",
+             "[q, p/m] = hbar/m, and with dt -> i dt, [p, q] = i hbar")
     def wick():
         report = sd.wick_heisenberg()
-        ok = report.holds()
-        return _flag(ok, report.heisenberg.to_text())
+        expect(report.holds(), report.heisenberg.to_text())
 
-    s.check("clock-rotation",
-            "[q, p/m] = hbar/m, and with dt -> i dt, [p, q] = i hbar", wick)
     return s
 
 
 def suite_constraints_1(opt: Options) -> SuiteReport:
     s = SuiteReport("constraints-1", seed=opt.seed)
 
-    def dim(n: int) -> CheckFn:
-        return lambda: first_residual([cn.first_constraint_residual(n)])
-
     s.check("quadratic-hamiltonian-1d",
-            "[theta, H] = {Hdot_i theta_i} for H = (g P P + P P g)/4, n = 1", dim(1))
-    s.check("quadratic-hamiltonian-2d",
-            "same with symmetric g_ij, n = 2", dim(2))
+            "[theta, H] = {Hdot_i theta_i} for H = (g P P + P P g)/4, n = 1")(
+        lambda: [cn.first_constraint_residual(1)])
+    s.check("quadratic-hamiltonian-2d", "same with symmetric g_ij, n = 2")(
+        lambda: [cn.first_constraint_residual(2)])
 
+    @s.check("constant-theta", "a constant observable has zero drift and gradient")
     def constant_theta():
         c = NcPoly.from_scalar(Scalar.param("c"))
         h = cn.quadratic_hamiltonian(1)
         lhs = qt.reduce_poly(commutator(c, h), qt.FLAT_FN)
         theta_1 = qt.reduce_poly(commutator(c, qt.P(1)), qt.FLAT_FN)
-        return first_residual([lhs, theta_1])
+        return [lhs, theta_1]
 
-    s.check("constant-theta", "a constant observable has zero drift and gradient",
-            constant_theta)
     return s
 
 
@@ -738,29 +666,27 @@ def suite_constraints_2(opt: Options) -> SuiteReport:
     s = SuiteReport("constraints-2", seed=opt.seed)
     rng = random.Random(opt.seed)
 
+    @s.check("second-constraint-free",
+             "{T H H} - {{T H} H} = (1/12)[[T, H], H] in the free algebra")
     def free_identity():
         theta, h = NcPoly.gen("Theta"), NcPoly.gen("H")
-        out = [cn.second_constraint_residual(theta, h),
-               cn.requirement_form_residual(theta, h),
-               cn.second_constraint_residual(h, h)]
+        yield cn.second_constraint_residual(theta, h)
+        yield cn.requirement_form_residual(theta, h)
+        yield cn.second_constraint_residual(h, h)
         pool = (G("Theta"), G("H"), G("A"))
         for _ in range(10):
-            out.append(cn.second_constraint_residual(
-                random_poly(rng, pool, 2, 3), random_poly(rng, pool, 2, 3)))
-        return first_residual(out)
+            yield cn.second_constraint_residual(
+                random_poly(rng, pool, 2, 3), random_poly(rng, pool, 2, 3))
 
-    s.check("second-constraint-free",
-            "{T H H} - {{T H} H} = (1/12)[[T, H], H] in the free algebra",
-            free_identity)
-
+    @s.check("symmetrizer-bracket-abc",
+             "{ABC} - {A{BC}} = (1/12)(ABC - 2ACB + CAB) = (1/12)[A,[B,C]] "
+             "under AB = BA, ACB = BCA")
     def abc_identity():
         result = cn.symmetrizer_commutator_identity()
-        return _flag(result.ok(), result.reduced_difference.to_text())
+        expect(result.ok(), result.reduced_difference.to_text())
 
-    s.check("symmetrizer-bracket-abc",
-            "{ABC} - {A{BC}} = (1/12)(ABC - 2ACB + CAB) = (1/12)[A,[B,C]] "
-            "under AB = BA, ACB = BCA", abc_identity)
-
+    @s.check("fully-commuting-degenerate",
+             "with commuting A, B, C both sides collapse to zero")
     def fully_commuting():
         a, b, c = NcPoly.gen("A"), NcPoly.gen("B"), NcPoly.gen("C")
         # full commutativity; every rule decreases inversions
@@ -773,24 +699,17 @@ def suite_constraints_2(opt: Options) -> SuiteReport:
         )
         diff = cn.symmetrize([a, b, c]) - cn.symmetrize([a, cn.symmetrize([b, c])])
         bracket = commutator(a, commutator(b, c))
-        return first_residual([qt.reduce_poly(diff, sys_full), qt.reduce_poly(bracket, sys_full)])
+        return [qt.reduce_poly(diff, sys_full), qt.reduce_poly(bracket, sys_full)]
 
-    s.check("fully-commuting-degenerate",
-            "with commuting A, B, C both sides collapse to zero", fully_commuting)
-
+    @s.check("curvature-weave",
+             "[[T_ij, H_j], H_i] rearranges through [[H_i, H_j], T_ij]; "
+             "the symmetric-T sum cancels")
     def curvature_form():
         for n in (1, 2, 3):
             residuals, summed = cn.curvature_form_check(n)
-            bad = [p for p in residuals.values() if not p.is_zero()]
-            if bad:
-                return False, bad[0].to_text()
-            if not summed.is_zero():
-                return False, summed.to_text()
-        return True, "0"
+            yield from residuals.values()
+            yield summed
 
-    s.check("curvature-weave",
-            "[[T_ij, H_j], H_i] rearranges through [[H_i, H_j], T_ij]; "
-            "the symmetric-T sum cancels", curvature_form)
     s.note("summed curvature form sum_ij [[H_i, H_j], T_ij] vanishes identically "
            "for symmetric T by antisymmetry; per-index vanishing is the "
            "substantive constraint")
@@ -803,20 +722,18 @@ def suite_constraints_3(opt: Options) -> SuiteReport:
     result = cn.third_constraint_check(theta, h, hdot)
 
     s.check("double-bracket-expansion",
-            "[H^2, [H, T]] = H^3 T - H^2 T H - H T H^2 + T H^3",
-            lambda: first_residual([result.expansion_double]))
+            "[H^2, [H, T]] = H^3 T - H^2 T H - H T H^2 + T H^3")(
+        lambda: [result.expansion_double])
     s.check("dotted-bracket-expansion",
-            "[H', [H, T]] - 2[H, [H', T]] expands to the six-word display",
-            lambda: first_residual([result.expansion_dotted]))
+            "[H', [H, T]] - 2[H, [H', T]] expands to the six-word display")(
+        lambda: [result.expansion_dotted])
 
+    @s.check("third-constraint-ratio",
+             "{T'''} - {T''}^dot = c ([H^2,[H,T]] - [H',[H,T]] + 2[H,[H',T]])")
     def ratio():
-        ok = (result.ratio is not None and result.ratio != 0
-              and result.ratio_residual.is_zero())
-        return _flag(ok, result.ratio_residual.to_text())
+        expect(result.ratio is not None and result.ratio != 0
+               and result.ratio_residual.is_zero(), result.ratio_residual.to_text())
 
-    s.check("third-constraint-ratio",
-            "{T'''} - {T''}^dot = c ([H^2,[H,T]] - [H',[H,T]] + 2[H,[H',T]])",
-            ratio)
     if result.ratio is not None:
         s.note(f"computed ratio c = {result.ratio}")
     return s
@@ -827,6 +744,7 @@ def suite_tower(opt: Options) -> SuiteReport:
     tower = cn.derivative_tower(opt.levels)
     h, t = cn.hsym, cn.THETA
 
+    @s.check("levels-1-to-5", "tower matches the displayed derivatives term for term")
     def displayed():
         want = [
             cn.CPoly.monomial((h(0), t)),
@@ -846,56 +764,47 @@ def suite_tower(opt: Options) -> SuiteReport:
             + cn.CPoly.monomial((h(0), t, h(3)), 5)
             + cn.CPoly.monomial((t, h(4))),
         ]
-        for lvl, expect in zip(tower, want):
-            if lvl.polynomial != expect:
-                return False, f"level {lvl.level}: {lvl.polynomial.to_text()}"
-        return True, "0"
+        for lvl, level_want in zip(tower, want):
+            if lvl.polynomial != level_want:
+                raise Mismatch(f"level {lvl.level}: {lvl.polynomial.to_text()}")
 
-    s.check("levels-1-to-5", "tower matches the displayed derivatives term for term",
-            displayed)
-
+    @s.check("triangular-coefficients",
+             "coefficient of h^(n-2) theta h' is C(n,2): 1, 3, 6, 10, 15, 21")
     def triangular():
         got = [cn.hprime_coefficient(tower[n - 1]) for n in range(2, 8)]
         want = [Fraction(n * (n - 1), 2) for n in range(2, 8)]
-        return _flag(got == want, f"{got}")
-
-    s.check("triangular-coefficients",
-            "coefficient of h^(n-2) theta h' is C(n,2): 1, 3, 6, 10, 15, 21", triangular)
+        expect(got == want, f"{got}")
 
     hp2 = [cn.hprime2_coefficient(tower[n - 1]) for n in range(4, 13)]
 
+    @s.check("hprime-squared-series",
+             "h' squared coefficients for levels 4..12 have constant fourth differences")
     def hprime2():
         if hp2[0] != 3 or hp2[1] != 15:
-            return False, f"{hp2}"
+            raise Mismatch(f"{hp2}")
         seq = list(hp2)
         for _ in range(4):
             seq = [b - a for a, b in zip(seq, seq[1:])]
-        return _flag(len(set(seq)) == 1, f"fourth differences {seq}")
+        expect(len(set(seq)) == 1, f"fourth differences {seq}")
 
-    s.check("hprime-squared-series",
-            "h' squared coefficients for levels 4..12 have constant fourth differences",
-            hprime2)
     s.note("computed h'^2 series for levels 4..12: "
            + ", ".join(str(v) for v in hp2)
            + "; the quoted series 1, 3, 15, 45, ... leads with a 1 that matches "
              "no tower level (level 4 already gives 3): indexing flagged, not forced")
 
+    @s.check("coefficient-sums-are-bell-numbers",
+             "setting every symbol to 1 at level n gives the Bell number B_n")
     def bells():
         want = bell_numbers(10)
         got = [lvl.polynomial.coefficient_sum() for lvl in tower[:10]]
-        return _flag(got == want[1:11], f"{got}")
+        expect(got == want[1:11], f"{got}")
 
-    s.check("coefficient-sums-are-bell-numbers",
-            "setting every symbol to 1 at level n gives the Bell number B_n", bells)
-
+    @s.check("derivation-chain", "each level is the derivative of the previous one")
     def chain():
         for a, b in zip(tower, tower[1:]):
             if a.polynomial.derive() != b.polynomial:
-                return False, f"level {b.level} is not the derivative of level {a.level}"
-        return True, "0"
+                raise Mismatch(f"level {b.level} is not the derivative of level {a.level}")
 
-    s.check("derivation-chain", "each level is the derivative of the previous one",
-            chain)
     return s
 
 
@@ -904,51 +813,40 @@ def suite_bianchi(opt: Options) -> SuiteReport:
     rng = random.Random(opt.seed)
     pool = (G("N", 1), G("N", 2), G("N", 3), G("M"))
 
+    @s.check("jacobi-cyclic",
+             "R_ab:c + R_ca:b + R_bc:a = 0 with R_ab = [N_a, N_b], X:c = [X, N_c]")
     def jacobi():
-        out = []
         for _ in range(25):
             na = random_poly(rng, pool, 2, 3)
             nb = random_poly(rng, pool, 2, 3)
             nc = random_poly(rng, pool, 2, 3)
             r_ab, r_ca, r_bc = (commutator(na, nb), commutator(nc, na),
                                 commutator(nb, nc))
-            out.append(commutator(r_ab, nc) + commutator(r_ca, nb)
-                       + commutator(r_bc, na))
-        return first_residual(out)
+            yield commutator(r_ab, nc) + commutator(r_ca, nb) + commutator(r_bc, na)
 
-    s.check("jacobi-cyclic",
-            "R_ab:c + R_ca:b + R_bc:a = 0 with R_ab = [N_a, N_b], X:c = [X, N_c]",
-            jacobi)
-
+    @s.check("ring-axioms", "associativity, distributivity, identity, inverses")
     def ring_axioms():
-        out = []
-        for _ in range(opt.trials // 5 or 10):
+        for _ in range(opt.samples):
             a = random_poly(rng, pool, 4, 5)
             b = random_poly(rng, pool, 4, 5)
             c = random_poly(rng, pool, 4, 5)
-            out.append((a * b) * c - a * (b * c))
-            out.append(a * (b + c) - a * b - a * c)
-            out.append((a + b) * c - a * c - b * c)
-            out.append(a * NcPoly.one() - a)
-            out.append(a + (-a))
-        return first_residual(out)
+            yield (a * b) * c - a * (b * c)
+            yield a * (b + c) - a * b - a * c
+            yield (a + b) * c - a * c - b * c
+            yield a * NcPoly.one() - a
+            yield a + (-a)
 
-    s.check("ring-axioms", "associativity, distributivity, identity, inverses",
-            ring_axioms)
-
+    @s.check("commutator-derivations-leibniz",
+             "every map f -> [f, n] is a Leibniz derivation killing 1")
     def leibniz():
-        out = []
-        for _ in range(opt.trials // 5 or 10):
+        for _ in range(opt.samples):
             n = random_poly(rng, pool, 3, 3)
             f = random_poly(rng, pool, 3, 3)
             g = random_poly(rng, pool, 3, 3)
-            out.append(commutator(f * g, n) - commutator(f, n) * g - f * commutator(g, n))
-            out.append(commutator(NcPoly.one(), n))
-        return first_residual(out)
+            yield commutator(f * g, n) - commutator(f, n) * g - f * commutator(g, n)
+            yield commutator(NcPoly.one(), n)
 
-    s.check("commutator-derivations-leibniz",
-            "every map f -> [f, n] is a Leibniz derivation killing 1", leibniz)
-
+    @s.check("scalar-exactness", "i^2 = -1 and rational and Laurent arithmetic is exact")
     def exact_scalars():
         i = Scalar.imag_unit()
         checks = [
@@ -958,10 +856,8 @@ def suite_bianchi(opt: Options) -> SuiteReport:
             (Scalar.param("m") / Scalar.param("tau"))
             * (Scalar.param("tau") / Scalar.param("m")) == Scalar.one(),
         ]
-        return _flag(all(checks))
+        expect(all(checks))
 
-    s.check("scalar-exactness", "i^2 = -1 and rational and Laurent arithmetic is exact",
-            exact_scalars)
     return s
 
 

@@ -66,6 +66,9 @@ GOLDEN = [
     (["matrix", "decompose", "[[0, \"2/1\", 0, \"-2/1\", 0, \"1/1\"], [0, \"-2/2\", \"3/3\", 0, \"-1/5\", \"-3/1\"], [\"3/1\", \"1/3\", 0, \"-3/2\", \"2/4\", 0], [\"-1/1\", 0, \"2/2\", 0, \"-2/3\", 0], [0, 0, \"-2/4\", \"3/3\", 0, \"-1/1\"], [\"-2/1\", \"3/1\", \"1/1\", 0, \"-3/1\", \"2/1\"]]"], 0, "b68e9af15f2512c7fefc99eca17655f05c454e657ce134b42543b1eded2b78f0"),
     (["matrix", "decompose", "[[0, \"-3/2\", \"-1/3\", \"1/4\", \"3/5\", 0, \"-4/1\"], [\"2/2\", \"4/3\", 0, \"-3/5\", \"-1/6\", \"1/1\", \"3/2\"], [\"-2/3\", \"0/4\", \"2/5\", \"4/6\", 0, \"-3/2\", \"-1/3\"], [\"5/4\", 0, \"-2/6\", \"0/1\", \"2/2\", \"4/3\", 0], [\"1/5\", \"3/6\", \"5/1\", 0, \"-2/3\", \"0/4\", \"2/5\"], [0, \"-1/1\", \"1/2\", \"3/3\", \"5/4\", 0, \"-2/6\"], [\"4/1\", \"-5/2\", 0, \"-1/4\", \"1/5\", \"3/6\", \"5/1\"]]"], 0, "a1129b94df67a1b3b8ee049794fafc088b6ed11fda7dab381fa7bb9b64ab8b96"),
     (["matrix", "decompose", "[[0, \"1/2\", 0, 0, -3], [0, 0, 0, 0, 0], [\"2/3\", 0, 0, 4, 0], [0, 0, \"-5/7\", 0, 0], [1, 0, 0, 0, \"3/4\"]]"], 0, "ccbdf597a60d8d34bc4593b69002e36864a58b38e93221ffabfc9bdae98495ed"),
+    # failing runs: the series are too short for the field windows
+    (["verify", "em", "--length", "3", "--trials", "5", "--json"], 1, "7ad86e7361aa7538c777b26079ebbea461c3bc067d6ff35a29276c456978f975"),
+    (["verify", "em", "--length", "4", "--trials", "5", "--json"], 1, "b3addf215bc0d662714ee409bbec018fc153dc5b24d270ea3ddd9453f11bcdaf"),
 ]
 
 

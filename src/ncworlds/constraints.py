@@ -114,11 +114,6 @@ class ThirdConstraint:
     ratio: Fraction | None     # c with {T'''} - {T''}^dot = c * commutator form
     ratio_residual: NcPoly     # global residual after fitting c
 
-    def ok(self) -> bool:
-        return (self.expansion_double.is_zero() and self.expansion_dotted.is_zero()
-                and self.ratio is not None and self.ratio != 0
-                and self.ratio_residual.is_zero())
-
 
 def third_constraint_check(theta: NcPoly, h: NcPoly, hdot: NcPoly) -> ThirdConstraint:
     hddot = NcPoly.gen("H", primes=2)
@@ -237,17 +232,23 @@ class CPoly(SparseSum):
         return self._terms.get(tuple(sorted(syms)), 0)
 
     def derive(self) -> "CPoly":
-        """Leibniz derivation with d theta = h theta and d h^(k) = h^(k+1)."""
+        """Leibniz derivation with d theta = h theta and d h^(k) = h^(k+1):
+        one term per distinct symbol, times its number of copies."""
         terms: dict[CMonomial, RatLike] = {}
         for m, c in self._terms.items():
-            for pos, sym in enumerate(m):
-                rest = m[:pos] + m[pos + 1:]
+            end = 0
+            while end < len(m):
+                sym = m[end]
+                copies = m.count(sym)
+                end += copies
+                # the grown key is sorted without a sort: h = h^(0) sorts
+                # first, and h^(k+1) sorts directly after h^(k), whose last
+                # copy it replaces
                 if sym == THETA:
-                    grown = rest + (hsym(0), THETA)
+                    grown = (hsym(0),) + m
                 else:
-                    name, k = sym
-                    grown = rest + ((name, k + 1),)
-                add_into(terms, tuple(sorted(grown)), c)
+                    grown = m[:end - 1] + (("h", sym[1] + 1),) + m[end:]
+                add_into(terms, grown, c * copies)
         return self._like(terms)
 
     def coefficient_sum(self) -> RatLike:
@@ -258,7 +259,7 @@ class CPoly(SparseSum):
             return "0"
         parts = []
         for m, c in self.terms():
-            body = " ".join(_csym_text(s) for s in _grouped(m)) or "1"
+            body = " ".join(_csym_text(s, m.count(s)) for s in dict.fromkeys(m)) or "1"
             if c == 1:
                 parts.append(body)
             elif c == -1:
@@ -274,18 +275,8 @@ class CPoly(SparseSum):
         return f"CPoly({self.to_text()})"
 
 
-def _grouped(m: CMonomial) -> list[tuple[CSym, int]]:
-    groups: list[tuple[CSym, int]] = []
-    for s in m:
-        if groups and groups[-1][0] == s:
-            groups[-1] = (s, groups[-1][1] + 1)
-        else:
-            groups.append((s, 1))
-    return groups
-
-
-def _csym_text(group: tuple[CSym, int]) -> str:
-    (name, k), power = group
+def _csym_text(sym: CSym, power: int) -> str:
+    name, k = sym
     if name == "theta":
         base = "theta"
     elif k == 0:
@@ -339,32 +330,31 @@ def _factor_polys(m: CMonomial, theta: NcPoly, h_derivs: Sequence[NcPoly]) -> li
     return factors
 
 
-def symmetrized_level(poly_or_level: "CPoly | TowerLevel", theta: NcPoly,
+def symmetrized_level(level: TowerLevel, theta: NcPoly,
                       h_derivs: Sequence[NcPoly]) -> NcPoly:
     """Operator image of a classical level: symmetrize each monomial."""
-    cpoly = poly_or_level.polynomial if isinstance(poly_or_level, TowerLevel) else poly_or_level
     return NcPoly.total(symmetrize(_factor_polys(m, theta, h_derivs)).scaled(c)
-                        for m, c in cpoly.terms())
+                        for m, c in level.polynomial.terms())
 
 
-def symmetrized_level_dot(poly_or_level: "CPoly | TowerLevel", theta: NcPoly,
+def symmetrized_level_dot(level: TowerLevel, theta: NcPoly,
                           h_derivs: Sequence[NcPoly]) -> NcPoly:
     """Dot-derivative of a symmetrized level, factor by factor, replacing a
     differentiated theta by the nested first-constraint value {theta h}."""
-    cpoly = poly_or_level.polynomial if isinstance(poly_or_level, TowerLevel) else poly_or_level
     theta_dot = symmetrize([theta, h_derivs[0]])
 
-    def dotted(m: CMonomial, pos: int) -> NcPoly:
-        """The symmetrized monomial with its factor at ``pos`` differentiated."""
+    def dotted(m: CMonomial, sym: CSym) -> NcPoly:
+        """The symmetrized monomial with one copy of ``sym`` differentiated."""
+        pos = m.index(sym)
         factors = _factor_polys(m[:pos] + m[pos + 1:], theta, h_derivs)
-        if m[pos] == THETA:
+        if sym == THETA:
             factors.append(theta_dot)
         else:
-            _, k = m[pos]
+            _, k = sym
             if k + 1 >= len(h_derivs):
                 raise ValueError(f"no operator supplied for derivative order {k + 1}")
             factors.append(h_derivs[k + 1])
         return symmetrize(factors)
 
-    return NcPoly.total(dotted(m, pos).scaled(c)
-                        for m, c in cpoly.terms() for pos in range(len(m)))
+    return NcPoly.total(dotted(m, sym).scaled(c * m.count(sym))
+                        for m, c in level.polynomial.terms() for sym in dict.fromkeys(m))

